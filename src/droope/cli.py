@@ -137,7 +137,7 @@ def cmd_eig_sweep(args) -> int:
           f"{sweep.points[0].eigenvalues.size if sweep.points else 0} modes "
           f"each, {n_unstable} unstable physical eigenvalues")
     for p, msg in sweep.failures:
-        print(f"  power flow failed at p_set={p}: {msg}", file=sys.stderr)
+        print(f"  point failed at p_set={p}: {msg}", file=sys.stderr)
     print(f"modal data written to {path}")
     return 0
 

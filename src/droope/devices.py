@@ -178,11 +178,6 @@ def network_to_dq(phasor: complex, delta: float) -> tuple[float, float]:
     return rot.real, rot.imag
 
 
-def terminal_dq(v_mag: float, theta: float, delta: float) -> tuple[float, float]:
-    d = delta - theta
-    return v_mag * math.sin(d), v_mag * math.cos(d)
-
-
 # ---------------------------------------------------------------------------
 # derivative functions
 # ---------------------------------------------------------------------------

@@ -264,13 +264,17 @@ def modal_point(scenario, p_set: float) -> ModalResult:
                            dispatch=p_set)
 
 
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
     """Modal results over a grid of GFM dispatches with mode tracking.
 
     Modes are matched between consecutive grid points by right-eigenvector
     overlap (Hungarian assignment on |<v_i, v_j>|), which follows
-    trajectories through crossings.  Power-flow failures at individual
-    points are recorded and skipped.
+    trajectories through crossings.  A point that fails (power flow,
+    release) is skipped and recorded as ``(p_set, "<ErrorClass>: message")``.
     """
     if p_grid is None:
         p_grid = np.round(np.arange(1, 100) * 0.01, 10)
@@ -285,16 +289,17 @@ def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
                 try:
                     results[i] = fut.result()
                 except (PowerFlowError, DroopeError) as exc:
-                    log.warning("sweep point p_set=%s failed: %s",
-                                p_grid[i], exc)
-                    failures.append((float(p_grid[i]), str(exc)))
+                    msg = _failure_text(exc)
+                    log.warning("sweep point p_set=%s failed: %s", p_grid[i], msg)
+                    failures.append((float(p_grid[i]), msg))
     else:
         for i, p in enumerate(p_grid):
             try:
                 results[i] = modal_point(scenario, p)
             except (PowerFlowError, DroopeError) as exc:
-                log.warning("sweep point p_set=%s failed: %s", p, exc)
-                failures.append((float(p), str(exc)))
+                msg = _failure_text(exc)
+                log.warning("sweep point p_set=%s failed: %s", p, msg)
+                failures.append((float(p), msg))
 
     kept = [(p, r) for p, r in zip(p_grid, results) if r is not None]
     dispatches = np.array([p for p, _ in kept])

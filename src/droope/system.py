@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .devices import terminal_power
 from .errors import AlgebraicSolveError
 from .network import NetworkModel, build_admittance
 
@@ -79,11 +80,6 @@ class PowerSystemDae:
                             for sym in ("i_d", "i_q")])
 
     # -- load bookkeeping (events mutate these) --------------------------
-
-    def set_load(self, bus_id: int, p: float, q: float) -> None:
-        i = self.network.bus_index(bus_id)
-        self.p_load[i] = p
-        self.q_load[i] = q
 
     def apply_load_step(self, bus_id: int, dp: float, dq: float) -> None:
         i = self.network.bus_index(bus_id)
@@ -153,18 +149,6 @@ class PowerSystemDae:
             / (2.0 * math.pi)
             for k, dev in enumerate(self.devices)])
 
-    def terminal_powers(self, x, y) -> np.ndarray:
-        """Instantaneous electrical power at each device terminal (device pu)."""
-        theta, v, idq = self.split_y(y)
-        p = np.empty(len(self.devices))
-        for k, dev in enumerate(self.devices):
-            b = self.dev_bus[k]
-            xs = self.device_state(x, k)
-            d = xs[0] - theta[b]
-            p[k] = (v[b] * math.sin(d) * idq[2 * k]
-                    + v[b] * math.cos(d) * idq[2 * k + 1])
-        return p
-
     def device_powers(self, x, y):
         """Reported output power per device: (device pu, system pu).
 
@@ -182,10 +166,16 @@ class PowerSystemDae:
     def power_balance_residual(self, x, y) -> float:
         """Generation minus load minus series losses (system pu)."""
         theta, v, idq = self.split_y(y)
-        vph = v * np.exp(1j * theta)
-        losses = float(np.sum((vph * np.conj(self.ybus @ vph)).real))
-        p_sys = self.terminal_powers(x, y) * np.array(self.dev_ratio)
-        return float(np.sum(p_sys) - np.sum(self.p_load) - losses)
+        vc = v * np.cos(theta)
+        vs = v * np.sin(theta)
+        losses = float(vc @ (self._g @ vc - self._b @ vs)
+                       + vs @ (self._g @ vs + self._b @ vc))
+        gen = 0.0
+        for k, b in enumerate(self.dev_bus):
+            gen += self.dev_ratio[k] * terminal_power(
+                self.device_state(x, k), v[b], theta[b], idq[2 * k],
+                idq[2 * k + 1])
+        return float(gen - np.sum(self.p_load) - losses)
 
     def initial_y_guess(self, x) -> np.ndarray:
         """Crude algebraic start: flat bus voltages, EMF-driven currents."""

@@ -95,7 +95,15 @@ class SimulationTrace:
 
 
 class TrapezoidalStepper:
-    """Simultaneous trapezoidal/Newton integrator with a reused Jacobian."""
+    """Simultaneous trapezoidal/Newton integrator with a reused Jacobian.
+
+    Newton starts the states at the explicit Euler point and the algebraic
+    unknowns at the linear extrapolation ``2*y0 - y_prev`` through the last
+    two accepted grid points.  It falls back to ``y0`` when there is no such
+    pair at the current ``dt``: on the first step, after ``mark_stale()`` (a
+    load event), inside and after step halving, and when the step does not
+    continue from the state the previous step returned.
+    """
 
     def __init__(self, dae: PowerSystemDae, dt: float, tol: float = 1e-9,
                  max_newton: int = 8):
@@ -106,9 +114,11 @@ class TrapezoidalStepper:
         self._lu = None
         self._jac_dt = None
         self._stale = True
+        self._history = None   # (dt, y0, y1) of the last accepted full step
 
     def mark_stale(self) -> None:
         self._stale = True
+        self._history = None
 
     def _refresh_jacobian(self, x, y, dt) -> None:
         n_x = self.dae.n_x
@@ -119,58 +129,77 @@ class TrapezoidalStepper:
             return np.concatenate([z[:n_x] - 0.5 * dt * fx, gx])
 
         z = np.concatenate([x, y])
-        self._lu = lu_factor(_fd_jacobian(shape, z))
+        try:
+            self._lu = lu_factor(_fd_jacobian(shape, z))
+        except ValueError as exc:   # lu_factor rejects a non-finite matrix
+            raise StepError(f"non-finite Newton matrix: {exc}",
+                            residual=math.nan) from exc
         self._jac_dt = dt
         self._stale = False
 
-    def _advance(self, x0, y0, dt):
-        """One trapezoidal step of size dt; returns (x1, y1) or None."""
+    def _advance(self, x0, y0, dt, y_prev=None):
+        """One trapezoidal step of size dt; returns (x1, y1).
+
+        ``y_prev`` is the algebraic vector one step of the same ``dt``
+        before ``y0``; when given, Newton starts from the extrapolation.
+        Raises StepError carrying the worst residual norm when Newton does
+        not converge or the residual is not finite.
+        """
         dae = self.dae
         n_x = dae.n_x
         f0 = dae.f(x0, y0)
         if self._lu is None or self._stale or self._jac_dt != dt:
             self._refresh_jacobian(x0, y0, dt)
         x1 = x0 + dt * f0
-        y1 = y0.copy()
+        y1 = y0.copy() if y_prev is None else 2.0 * y0 - y_prev
         rebuilt = False
+        worst = 0.0
         for it in range(2 * self.max_newton):
             res = np.concatenate([
                 x1 - x0 - 0.5 * dt * (f0 + dae.f(x1, y1)),
                 dae.g(x1, y1)])
-            if np.max(np.abs(res)) < self.tol:
+            norm = np.max(np.abs(res))
+            if norm < self.tol:
                 if it > 4:
                     self._stale = True
                 return x1, y1
+            if not math.isfinite(norm):
+                raise StepError("non-finite residual", residual=float(norm))
+            worst = max(worst, float(norm))
             if it >= self.max_newton and not rebuilt:
                 self._refresh_jacobian(x1, y1, dt)
                 rebuilt = True
-            step = lu_solve(self._lu, res)
+            step = lu_solve(self._lu, res, check_finite=False)
             x1 = x1 - step[:n_x]
             y1 = y1 - step[n_x:]
-        return None
+        raise StepError("Newton did not converge", residual=worst)
 
     def step(self, state: SystemState) -> SystemState:
         """Advance one grid interval, halving the internal dt on failure."""
         x, y = state.x, state.y
+        hist = self._history
+        y_prev = (hist[1] if hist is not None and hist[0] == self.dt
+                  and hist[2] is y else None)
         n_sub = 1
         for _ in range(5):
-            ok = True
             xs, ys = x, y
-            for _ in range(n_sub):
-                out = self._advance(xs, ys, self.dt / n_sub)
-                if out is None:
-                    ok = False
-                    break
-                xs, ys = out
-            if ok:
-                if n_sub > 1:
-                    self._stale = True
-                return SystemState(xs, ys, state.t + self.dt)
-            n_sub *= 2
-            self._stale = True
+            try:
+                for _ in range(n_sub):
+                    xs, ys = self._advance(xs, ys, self.dt / n_sub,
+                                           y_prev if n_sub == 1 else None)
+            except StepError as exc:
+                failure = exc
+                n_sub *= 2
+                self._stale = True
+                continue
+            if n_sub > 1:
+                self._stale = True
+            self._history = (self.dt, y, ys) if n_sub == 1 else None
+            return SystemState(xs, ys, state.t + self.dt)
         raise StepError(
-            f"Newton failed at t={state.t:.6f}s even at dt/{n_sub // 2}",
-            t=state.t)
+            f"Newton failed at t={state.t:.6f}s even at dt/{n_sub // 2}: "
+            f"{failure}, residual {failure.residual:.3e}",
+            t=state.t, residual=failure.residual)
 
 
 def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:

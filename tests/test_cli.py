@@ -182,6 +182,17 @@ class TestCommandLine:
         assert lines[0].startswith("p_set,track,re,im,zeta,freq_hz")
         assert len(lines) == 1 + 5 * 11
 
+    def test_eig_sweep_names_failure_class(self, tmp_path, capsys):
+        # the low-dispatch 9-bus points fail in release, not in power flow
+        rc = main(["eig-sweep", "--scenario", "9bus-caseC",
+                   "--out", str(tmp_path),
+                   "--from", "0.01", "--to", "0.02", "--step", "0.01"])
+        assert rc == 0
+        failed = [ln for ln in capsys.readouterr().err.splitlines()
+                  if "point failed" in ln]
+        assert len(failed) == 2
+        assert all("InitializationError:" in ln for ln in failed)
+
     def test_report_table_one_byte_identical(self, tmp_path):
         rc = main(["report", "--tables", "I", "--out", str(tmp_path)])
         assert rc == 0

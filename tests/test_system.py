@@ -91,6 +91,24 @@ def test_power_balance_residual_at_equilibrium(case_a_equilibrium):
     assert abs(dae.power_balance_residual(state.x, state.y)) < 1e-9
 
 
+def test_power_balance_residual_matches_phasor_form(case_a_equilibrium):
+    dae, state = case_a_equilibrium
+    rng = np.random.default_rng(5)
+    x = state.x + rng.normal(scale=1e-2, size=state.x.shape)
+    y = state.y + rng.normal(scale=1e-2, size=state.y.shape)
+    theta, v, idq = dae.split_y(y)
+    vph = v * np.exp(1j * theta)
+    losses = np.sum((vph * np.conj(dae.ybus @ vph)).real)
+    gen = 0.0
+    for k, b in enumerate(dae.dev_bus):
+        i_ph = complex(idq[2 * k], idq[2 * k + 1]) * np.exp(
+            1j * (dae.device_state(x, k)[0] - 0.5 * np.pi))
+        gen += dae.dev_ratio[k] * (vph[b] * np.conj(i_ph)).real
+    expected = gen - np.sum(dae.p_load) - losses
+    assert dae.power_balance_residual(x, y) == pytest.approx(expected,
+                                                             abs=1e-13)
+
+
 def test_find_equilibrium_pins_gauge(case_a_equilibrium):
     dae, state = case_a_equilibrium
     x, y = find_equilibrium(dae, state.x, state.y)

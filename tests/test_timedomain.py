@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from droope import timedomain
 from droope.errors import InitializationError, ScenarioError, StepError
+from droope.metrics import compute_frequency_stats
 from droope.network import solve_power_flow
 from droope.scenario import load_scenario
 from droope.system import SystemState, solve_network_algebraic
@@ -27,6 +29,107 @@ class DecayOde:
 
     def g(self, x, y):
         return np.zeros(0)
+
+
+class RampDae:
+    """dx/dt = 1, 0 = y - x.  The algebraic unknown is linear in time, so the
+    extrapolating predictor lands on the solution and Newton needs no solve;
+    from ``y0`` it needs one.  ``poison`` makes that many f calls NaN."""
+
+    n_x, n_y = 1, 1
+    x_labels, y_labels = ["x"], ["y"]
+    devices = []
+    poison = 0
+
+    def f(self, x, y):
+        if self.poison:
+            self.poison -= 1
+            return np.full(1, np.nan)
+        return np.ones(1)
+
+    def g(self, x, y):
+        return y - x
+
+
+class CliffOde(DecayOde):
+    """dx/dt = -1 while x >= 0; the derivative is NaN below zero."""
+
+    def f(self, x, y):
+        return np.where(x >= 0.0, -1.0, np.nan)
+
+
+class RidgeOde(DecayOde):
+    """dx/dt = 1 while x <= 0; the derivative is NaN above zero."""
+
+    def f(self, x, y):
+        return np.where(x <= 0.0, 1.0, np.nan)
+
+
+@pytest.fixture
+def newton_solves(monkeypatch):
+    """Per-call log of the stepper's LU solves."""
+    calls = []
+    real = timedomain.lu_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(timedomain, "lu_solve", counting)
+    return calls
+
+
+def solves_per_step(stepper, st, calls, n=1):
+    """Step n times; return the state and the Newton solves of each step."""
+    counts = []
+    for _ in range(n):
+        before = len(calls)
+        st = stepper.step(st)
+        counts.append(len(calls) - before)
+    return st, counts
+
+
+class TestPredictor:
+    def test_extrapolates_after_first_step(self, newton_solves):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st = SystemState(np.zeros(1), np.zeros(1))
+        st, counts = solves_per_step(stepper, st, newton_solves, 3)
+        assert counts == [1, 0, 0]
+        assert st.y[0] == pytest.approx(3e-3, abs=1e-12)
+
+    def test_restarts_after_mark_stale(self, newton_solves):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                newton_solves, 2)
+        stepper.mark_stale()
+        _, counts = solves_per_step(stepper, st, newton_solves, 2)
+        assert counts == [1, 0]
+
+    def test_restarts_inside_and_after_halved_step(self, newton_solves):
+        dae = RampDae()
+        stepper = TrapezoidalStepper(dae, 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                newton_solves, 2)
+        dae.poison = 1  # the full-dt attempt fails, the halves succeed
+        st, counts = solves_per_step(stepper, st, newton_solves, 3)
+        assert counts == [2, 1, 0]
+        assert st.t == pytest.approx(5e-3)
+        assert st.y[0] == pytest.approx(5e-3, abs=1e-12)
+
+    def test_restarts_after_dt_change(self, newton_solves):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                newton_solves, 2)
+        stepper.dt = 2e-3
+        _, counts = solves_per_step(stepper, st, newton_solves, 2)
+        assert counts == [1, 0]
+
+    def test_restarts_from_a_foreign_state(self, newton_solves):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                newton_solves, 2)
+        _, counts = solves_per_step(stepper, st.copy(), newton_solves, 2)
+        assert counts == [1, 0]
 
 
 class TestStepper:
@@ -102,6 +205,18 @@ class TestStepper:
             stepper.step(state)
         assert err.value.t == pytest.approx(0.0)
 
+    # the residual turns NaN ten steps in; the Newton matrix at the start
+    @pytest.mark.parametrize("ode, x0, t_fail", [
+        (CliffOde(), 0.0105, 0.010), (RidgeOde(), -5e-8, 0.0)])
+    def test_non_finite_values_raise_step_error(self, ode, x0, t_fail):
+        stepper = TrapezoidalStepper(ode, 1e-3)
+        st = SystemState(np.array([x0]), np.zeros(0))
+        with pytest.raises(StepError) as err:
+            for _ in range(20):
+                st = stepper.step(st)
+        assert err.value.t == pytest.approx(t_fail)
+        assert not math.isfinite(err.value.residual)
+
 
 class TestRelease:
     @pytest.mark.parametrize("name", ["3bus-caseB", "9bus-caseC"])
@@ -160,6 +275,22 @@ class TestRunCase:
             tr = run_case(scen, t_end=6.0, dt=dt)
             nadirs.append(np.min(tr.device_frequency("sg1")))
         assert abs(nadirs[0] - nadirs[1]) < 1e-3
+
+    # (nadir Hz, nadir time s, peak ROCOF Hz/s, settling Hz) of the machine
+    # speed as computed when every Newton solve started from y0; the
+    # algebraic predictor may move them by no more than 1e-8
+    @pytest.mark.parametrize("fixture, expected", [
+        ("trace_case_b", (59.82015355364463, 1.567, 0.5973604238865704,
+                          59.87755588466132)),
+        ("trace_case_c", (59.70705397483994, 1.72, 0.7008508880488051,
+                          59.817215301169504)),
+    ])
+    def test_case_statistics_pinned(self, fixture, expected, request):
+        tr = request.getfixturevalue(fixture)
+        st = compute_frequency_stats(tr.t, tr.device_frequency("sg1"),
+                                     tr.first_event_time(), tr.rocof_window)
+        got = (st.nadir, st.nadir_time, st.peak_rocof, st.settling)
+        assert got == pytest.approx(expected, rel=0, abs=1e-8)
 
     def test_power_balance_every_step(self, trace_case_a):
         assert np.max(np.abs(trace_case_a.balance_residual)) < 1e-6
