@@ -126,6 +126,11 @@ def cmd_eig_sweep(args) -> int:
     grid = np.round(np.arange(args.start, args.stop + 0.5 * args.step,
                               args.step), 12)
     sweep = dispatch_sweep(scen, grid, jobs=args.jobs)
+    for p, msg in sweep.failures:
+        print(f"  point failed at p_set={p}: {msg}", file=sys.stderr)
+    if not sweep.points:
+        print("no dispatch point succeeded", file=sys.stderr)
+        return 1
     out = _out_dir(args)
     path = out / f"{scen.name}_modes.csv"
     write_modal_csv(sweep, path)
@@ -134,10 +139,8 @@ def cmd_eig_sweep(args) -> int:
         n_unstable += sum(1 for i in mr.physical_indices()
                           if mr.eigenvalues[i].real >= 0)
     print(f"{len(sweep.points)} dispatch points, "
-          f"{sweep.points[0].eigenvalues.size if sweep.points else 0} modes "
+          f"{sweep.points[0].eigenvalues.size} modes "
           f"each, {n_unstable} unstable physical eigenvalues")
-    for p, msg in sweep.failures:
-        print(f"  point failed at p_set={p}: {msg}", file=sys.stderr)
     print(f"modal data written to {path}")
     return 0
 

@@ -263,9 +263,15 @@ def gfm_stator_residual(state, v_mag, theta, i_d, i_q, params):
 
 
 def terminal_power(state, v_mag, theta, i_d, i_q):
-    """Active power leaving the device terminal (device pu)."""
-    delta = state[0]
-    v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
+    """Active power leaving the device terminal (device pu).
+
+    Accepts one sample or a block of samples along the first axis.  The
+    angle is taken as ``state.T[0]`` so that one sample stays a numpy
+    scalar: arithmetic on the 0-d array ``state[..., 0]`` would be several
+    times slower in the per-step power-sharing update.
+    """
+    delta = state.T[0]
+    v_d, v_q = v_mag * np.sin(delta - theta), v_mag * np.cos(delta - theta)
     return v_d * i_d + v_q * i_q
 
 
@@ -411,11 +417,15 @@ class SgDevice:
         self.v_ref = v_ref
         return state
 
-    def frequency_deviation(self, xs, omega_nominal: float) -> float:
-        """Device frequency minus nominal, rad/s."""
-        return xs[1] - omega_nominal
+    def frequency_deviation(self, xs, omega_nominal: float, omega_ps=None):
+        """Device frequency minus nominal, rad/s, per sample of ``xs``.
 
-    def output_power(self, xs, v_mag, theta, i_d, i_q) -> float:
+        ``omega_ps`` is accepted for a uniform device interface; a machine
+        has no power-sharing offset.
+        """
+        return xs.T[1] - omega_nominal
+
+    def output_power(self, xs, v_mag, theta, i_d, i_q):
         """Electrical power at the machine terminal (device pu)."""
         return terminal_power(xs, v_mag, theta, i_d, i_q)
 
@@ -483,11 +493,18 @@ class GfmDevice:
                                    p_ref=None)
         return state
 
-    def frequency_deviation(self, xs, omega_nominal: float) -> float:
-        return float(self.droop_offset(xs[1]) + self.params.omega_set
-                     - omega_nominal + self.omega_ps)
+    def frequency_deviation(self, xs, omega_nominal: float, omega_ps=None):
+        """Device frequency minus nominal, rad/s, per sample of ``xs``.
 
-    def output_power(self, xs, v_mag, theta, i_d, i_q) -> float:
+        ``omega_ps`` is the power-sharing offset at those samples; it
+        defaults to the present offset.
+        """
+        if omega_ps is None:
+            omega_ps = self.omega_ps
+        return (self.droop_offset(xs.T[1]) + self.params.omega_set
+                - omega_nominal + omega_ps)
+
+    def output_power(self, xs, v_mag, theta, i_d, i_q):
         """Filtered power measurement (device pu).
 
         The raw algebraic terminal power can jump when the network topology
@@ -495,7 +512,7 @@ class GfmDevice:
         continuous observable the droop law acts on, matching the power a
         switching-level model would deliver through its output filter.
         """
-        return float(xs[1])
+        return xs.T[1]
 
     def update_power_sharing(self, xs, v_mag, theta, i_d, i_q, dt):
         """Per-step secondary controller update; no-op when disabled."""

@@ -140,14 +140,33 @@ class PowerSystemDae:
         return np.concatenate([self.f(x, y), self.g(x, y)])
 
     # -- observations -----------------------------------------------------
+    #
+    # Each observation accepts one (x, y) or a block of samples stacked
+    # along a leading axis, and returns one value (or row) per sample.
 
-    def device_frequencies_hz(self, x) -> np.ndarray:
+    def _sample_columns(self, x, y, k: int):
+        """Device k's states and (v, theta, i_d, i_q) for every sample."""
+        n = self.n_bus
+        b = self.dev_bus[k]
+        off = self.x_offsets[k]
+        return (x[..., off:off + self.devices[k].n_states], y[..., n + b],
+                y[..., b], y[..., 2 * n + 2 * k], y[..., 2 * n + 2 * k + 1])
+
+    def device_frequencies_hz(self, x, omega_ps=None) -> np.ndarray:
+        """Device frequencies in Hz, one column per device.
+
+        ``omega_ps`` maps a device index to its power-sharing offsets
+        (rad/s) at the samples of ``x``; other devices use their present
+        offset.
+        """
+        omega_ps = {} if omega_ps is None else omega_ps
         omega_n = self.network.bases.base_rad_per_s
-        return np.array([
-            self.f_nominal_hz
-            + dev.frequency_deviation(self.device_state(x, k), omega_n)
-            / (2.0 * math.pi)
-            for k, dev in enumerate(self.devices)])
+        dev = np.stack([
+            dev.frequency_deviation(
+                x[..., off:off + dev.n_states], omega_n, omega_ps.get(k))
+            for k, (dev, off) in enumerate(zip(self.devices,
+                                               self.x_offsets))], axis=-1)
+        return self.f_nominal_hz + dev / (2.0 * math.pi)
 
     def device_powers(self, x, y):
         """Reported output power per device: (device pu, system pu).
@@ -155,27 +174,25 @@ class PowerSystemDae:
         Synchronous machines report terminal electrical power; inverters
         report their filtered power measurement (see GfmDevice.output_power).
         """
-        theta, v, idq = self.split_y(y)
-        p_dev = np.empty(len(self.devices))
-        for k, dev in enumerate(self.devices):
-            b = self.dev_bus[k]
-            p_dev[k] = dev.output_power(self.device_state(x, k), v[b],
-                                        theta[b], idq[2 * k], idq[2 * k + 1])
+        p_dev = np.stack([
+            dev.output_power(*self._sample_columns(x, y, k))
+            for k, dev in enumerate(self.devices)], axis=-1)
         return p_dev, p_dev * np.array(self.dev_ratio)
 
-    def power_balance_residual(self, x, y) -> float:
+    def power_balance_residual(self, x, y):
         """Generation minus load minus series losses (system pu)."""
-        theta, v, idq = self.split_y(y)
+        n = self.n_bus
+        theta, v = y[..., :n], y[..., n:2 * n]
         vc = v * np.cos(theta)
         vs = v * np.sin(theta)
-        losses = float(vc @ (self._g @ vc - self._b @ vs)
-                       + vs @ (self._g @ vs + self._b @ vc))
+        g_t, b_t = self._g.T, self._b.T
+        losses = np.sum(vc * (vc @ g_t - vs @ b_t)
+                        + vs * (vs @ g_t + vc @ b_t), axis=-1)
         gen = 0.0
-        for k, b in enumerate(self.dev_bus):
-            gen += self.dev_ratio[k] * terminal_power(
-                self.device_state(x, k), v[b], theta[b], idq[2 * k],
-                idq[2 * k + 1])
-        return float(gen - np.sum(self.p_load) - losses)
+        for k in range(len(self.devices)):
+            gen = gen + self.dev_ratio[k] * terminal_power(
+                *self._sample_columns(x, y, k))
+        return gen - np.sum(self.p_load) - losses
 
     def initial_y_guess(self, x) -> np.ndarray:
         """Crude algebraic start: flat bus voltages, EMF-driven currents."""

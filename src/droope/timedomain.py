@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .devices import Gate, GfmDevice
 from .errors import InitializationError, ScenarioError, StepError
@@ -24,6 +25,12 @@ from .system import (PowerSystemDae, SystemState, _fd_jacobian,
                      find_equilibrium, solve_network_algebraic)
 
 log = logging.getLogger(__name__)
+
+# Rows per block in which run_case observes accepted states and to_csv
+# formats the trace: enough to spread each call's fixed cost over many
+# samples, few enough that the block buffers stay far below a megabyte.
+_OBSERVE_ROWS = 256
+_CSV_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,24 @@ class SimulationTrace:
         return None
 
     def to_csv(self, path) -> None:
+        """One row per sample in ``column_names()`` order, every value
+        written as ``repr(float)`` so it reads back exactly."""
+        n_dev = len(self.dev_names)
+        c_bus = 1 + 3 * n_dev
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.column_names()) + "\n")
-            for i in range(len(self.t)):
-                fh.write(",".join(repr(float(v)) for v in self.row(i)) + "\n")
+            for i in range(0, len(self.t), _CSV_ROWS):
+                rows = slice(i, i + _CSV_ROWS)
+                t = self.t[rows]
+                block = np.empty((len(t), c_bus + 2 * len(self.bus_ids)))
+                block[:, 0] = t
+                block[:, 1:c_bus:3] = self.freq_hz[rows]
+                block[:, 2:c_bus:3] = self.p_dev[rows]
+                block[:, 3:c_bus:3] = self.p_sys[rows]
+                block[:, c_bus::2] = self.v[rows]
+                block[:, c_bus + 1::2] = self.theta[rows]
+                fh.write("".join(",".join(map(repr, row)) + "\n"
+                                 for row in block.tolist()))
 
     def column_names(self) -> list[str]:
         cols = ["t"]
@@ -85,13 +106,18 @@ class SimulationTrace:
             cols += [f"bus_{b}_v", f"bus_{b}_theta"]
         return cols
 
-    def row(self, i: int) -> list[float]:
-        vals = [self.t[i]]
-        for k in range(len(self.dev_names)):
-            vals += [self.freq_hz[i, k], self.p_dev[i, k], self.p_sys[i, k]]
-        for k in range(len(self.bus_ids)):
-            vals += [self.v[i, k], self.theta[i, k]]
-        return vals
+
+def lu_solve(lu_and_piv, b) -> np.ndarray:
+    """Solve ``a x = b`` from ``lu_factor(a)`` by LAPACK getrs.
+
+    Unlike ``scipy.linalg.lu_solve`` it does not check ``b`` for finite
+    values; the stepper checks its residual instead.
+    """
+    lu, piv = lu_and_piv
+    x, info = dgetrs(lu, piv, b)
+    if info != 0:
+        raise ValueError(f"getrs rejected argument {-info}")
+    return x
 
 
 class TrapezoidalStepper:
@@ -103,6 +129,12 @@ class TrapezoidalStepper:
     pair at the current ``dt``: on the first step, after ``mark_stale()`` (a
     load event), inside and after step halving, and when the step does not
     continue from the state the previous step returned.
+
+    The derivative ``f(x1, y1)`` evaluated at a converged Newton iterate is
+    kept and reused as ``f0`` when the next step starts from exactly that
+    state (matched by identity, so returned states must not be mutated).
+    ``params_changed()`` drops it when a device parameter that ``f`` reads
+    changes between steps.
     """
 
     def __init__(self, dae: PowerSystemDae, dt: float, tol: float = 1e-9,
@@ -115,10 +147,15 @@ class TrapezoidalStepper:
         self._jac_dt = None
         self._stale = True
         self._history = None   # (dt, y0, y1) of the last accepted full step
+        self._f_end = None     # (x1, y1, f(x1, y1)) of the last converged step
 
     def mark_stale(self) -> None:
         self._stale = True
         self._history = None
+        self._f_end = None
+
+    def params_changed(self) -> None:
+        self._f_end = None
 
     def _refresh_jacobian(self, x, y, dt) -> None:
         n_x = self.dae.n_x
@@ -147,7 +184,11 @@ class TrapezoidalStepper:
         """
         dae = self.dae
         n_x = dae.n_x
-        f0 = dae.f(x0, y0)
+        end = self._f_end
+        if end is not None and end[0] is x0 and end[1] is y0:
+            f0 = end[2]
+        else:
+            f0 = dae.f(x0, y0)
         if self._lu is None or self._stale or self._jac_dt != dt:
             self._refresh_jacobian(x0, y0, dt)
         x1 = x0 + dt * f0
@@ -155,13 +196,14 @@ class TrapezoidalStepper:
         rebuilt = False
         worst = 0.0
         for it in range(2 * self.max_newton):
-            res = np.concatenate([
-                x1 - x0 - 0.5 * dt * (f0 + dae.f(x1, y1)),
-                dae.g(x1, y1)])
-            norm = np.max(np.abs(res))
+            f1 = dae.f(x1, y1)
+            res = np.concatenate([x1 - x0 - 0.5 * dt * (f0 + f1),
+                                  dae.g(x1, y1)])
+            norm = np.abs(res).max()
             if norm < self.tol:
                 if it > 4:
                     self._stale = True
+                self._f_end = (x1, y1, f1)
                 return x1, y1
             if not math.isfinite(norm):
                 raise StepError("non-finite residual", residual=float(norm))
@@ -169,7 +211,7 @@ class TrapezoidalStepper:
             if it >= self.max_newton and not rebuilt:
                 self._refresh_jacobian(x1, y1, dt)
                 rebuilt = True
-            step = lu_solve(self._lu, res, check_finite=False)
+            step = lu_solve(self._lu, res)
             x1 = x1 - step[:n_x]
             y1 = y1 - step[n_x:]
         raise StepError("Newton did not converge", residual=worst)
@@ -289,42 +331,93 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
 
     log.info("simulating %s: %d devices, dt=%gs, t_end=%gs",
              scenario.name, n_dev, dt, t_end)
+    sharing = [k for k, dev in enumerate(dae.devices)
+               if isinstance(dev, GfmDevice) and dev.sharing is not None]
     stepper = TrapezoidalStepper(dae, dt)
-    _record(tr, 0, dae, state)
+    recorder = _TraceRecorder(tr, dae, sharing)
+    recorder.add(state)
     for k in range(n_steps):
         for ev in pending.get(k, ()):
             if ev.dp != 0.0 or ev.dq != 0.0:
+                recorder.flush()   # observe earlier samples at their load
                 dae.apply_load_step(ev.bus, ev.dp, ev.dq)
                 stepper.mark_stale()
             event_log.append(ev)
         state = stepper.step(state)
-        _update_sharing(dae, state, dt, event_log)
-        _record(tr, k + 1, dae, state)
+        if _update_sharing(dae, sharing, state, dt, event_log):
+            stepper.params_changed()
+        recorder.add(state)
+    recorder.flush()
     event_log.sort(key=lambda ev: ev.t)
     tr.final_state = state
     return tr
 
 
-def _update_sharing(dae: PowerSystemDae, state: SystemState, dt: float,
-                    event_log: list[Event]) -> None:
+def _update_sharing(dae: PowerSystemDae, sharing: list[int],
+                    state: SystemState, dt: float,
+                    event_log: list[Event]) -> bool:
+    """Advance the power-sharing controllers of the devices with indices
+    ``sharing`` by one accepted step.
+
+    Returns whether any device's offset, which ``f`` reads, changed.
+    """
     theta, v, idq = dae.split_y(state.y)
-    for k, dev in enumerate(dae.devices):
-        if not isinstance(dev, GfmDevice) or dev.sharing is None:
-            continue
-        was = dev.sharing.gate
+    changed = False
+    for k in sharing:
+        dev = dae.devices[k]
+        was, omega_ps = dev.sharing.gate, dev.omega_ps
         b = dae.dev_bus[k]
         dev.update_power_sharing(dae.device_state(state.x, k), v[b], theta[b],
                                  idq[2 * k], idq[2 * k + 1], dt)
+        changed = changed or dev.omega_ps != omega_ps
         if was is Gate.OPEN and dev.sharing.gate is Gate.CLOSED:
             event_log.append(
                 Event(t=state.t, kind="gate_armed", device=dev.name))
+    return changed
 
 
-def _record(tr: SimulationTrace, i: int, dae: PowerSystemDae,
-            state: SystemState) -> None:
-    tr.freq_hz[i] = dae.device_frequencies_hz(state.x)
-    tr.p_dev[i], tr.p_sys[i] = dae.device_powers(state.x, state.y)
-    theta, v, _ = dae.split_y(state.y)
-    tr.v[i] = v
-    tr.theta[i] = theta
-    tr.balance_residual[i] = dae.power_balance_residual(state.x, state.y)
+class _TraceRecorder:
+    """Fills a trace from accepted states, observed a block at a time.
+
+    Holds at most ``_OBSERVE_ROWS`` states.  Each state's power-sharing
+    offsets are copied with it, because a device holds only its present
+    one; the load is not, so ``flush`` must run before the load changes.
+    """
+
+    def __init__(self, tr: SimulationTrace, dae: PowerSystemDae,
+                 sharing: list[int]):
+        self.tr = tr
+        self.dae = dae
+        self.sharing = sharing
+        self.x = np.empty((_OBSERVE_ROWS, dae.n_x))
+        self.y = np.empty((_OBSERVE_ROWS, dae.n_y))
+        self.omega_ps = np.empty((_OBSERVE_ROWS, len(sharing)))
+        self.start = 0     # trace row of the first buffered state
+        self.rows = 0
+
+    def add(self, state: SystemState) -> None:
+        i = self.rows
+        self.x[i] = state.x
+        self.y[i] = state.y
+        for j, k in enumerate(self.sharing):
+            self.omega_ps[i, j] = self.dae.devices[k].omega_ps
+        self.rows = i + 1
+        if self.rows == _OBSERVE_ROWS:
+            self.flush()
+
+    def flush(self) -> None:
+        m = self.rows
+        if m == 0:
+            return
+        dae, tr = self.dae, self.tr
+        x, y = self.x[:m], self.y[:m]
+        rows = slice(self.start, self.start + m)
+        omega_ps = {k: self.omega_ps[:m, j]
+                    for j, k in enumerate(self.sharing)}
+        tr.freq_hz[rows] = dae.device_frequencies_hz(x, omega_ps)
+        tr.p_dev[rows], tr.p_sys[rows] = dae.device_powers(x, y)
+        tr.theta[rows] = y[:, :dae.n_bus]
+        tr.v[rows] = y[:, dae.n_bus:2 * dae.n_bus]
+        tr.balance_residual[rows] = dae.power_balance_residual(x, y)
+        self.start += m
+        self.rows = 0

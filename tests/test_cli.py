@@ -183,15 +183,31 @@ class TestCommandLine:
         assert len(lines) == 1 + 5 * 11
 
     def test_eig_sweep_names_failure_class(self, tmp_path, capsys):
-        # the low-dispatch 9-bus points fail in release, not in power flow
+        # the low-dispatch 9-bus points fail in release, not in power flow;
+        # a sweep with no successful point is a failed run
         rc = main(["eig-sweep", "--scenario", "9bus-caseC",
                    "--out", str(tmp_path),
                    "--from", "0.01", "--to", "0.02", "--step", "0.01"])
-        assert rc == 0
-        failed = [ln for ln in capsys.readouterr().err.splitlines()
-                  if "point failed" in ln]
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        failed = [ln for ln in err if "point failed" in ln]
         assert len(failed) == 2
         assert all("InitializationError:" in ln for ln in failed)
+        assert "no dispatch point succeeded" in err
+        assert not (tmp_path / "9bus-caseC_modes.csv").exists()
+
+    def test_eig_sweep_with_some_points_failed_succeeds(self, tmp_path,
+                                                         capsys):
+        rc = main(["eig-sweep", "--scenario", "9bus-caseC",
+                   "--out", str(tmp_path),
+                   "--from", "0.05", "--to", "0.06", "--step", "0.01"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("point failed at p_set=0.05") == 1
+        assert "no dispatch point succeeded" not in err
+        lines = (tmp_path / "9bus-caseC_modes.csv").read_text().splitlines()
+        assert len(lines) > 1
+        assert all(ln.startswith("0.06,") for ln in lines[1:])
 
     def test_report_table_one_byte_identical(self, tmp_path):
         rc = main(["report", "--tables", "I", "--out", str(tmp_path)])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from droope import timedomain
@@ -10,7 +11,8 @@ from droope.errors import InitializationError, ScenarioError, StepError
 from droope.metrics import compute_frequency_stats
 from droope.network import solve_power_flow
 from droope.scenario import load_scenario
-from droope.system import SystemState, solve_network_algebraic
+from droope.system import (PowerSystemDae, SystemState,
+                           solve_network_algebraic)
 from droope.timedomain import (Event, TrapezoidalStepper, release_dynamics,
                                run_case)
 
@@ -130,6 +132,198 @@ class TestPredictor:
                                 newton_solves, 2)
         _, counts = solves_per_step(stepper, st.copy(), newton_solves, 2)
         assert counts == [1, 0]
+
+
+@pytest.fixture
+def f_calls(monkeypatch):
+    """Per-call log of RampDae's derivative evaluations."""
+    calls = []
+    real = RampDae.f
+
+    def counting(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(RampDae, "f", counting)
+    return calls
+
+
+class TestCarriedDerivative:
+    """f at the converged iterate is reused as the next step's f0."""
+
+    def test_reused_when_continuing(self, f_calls):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st = SystemState(np.zeros(1), np.zeros(1))
+        # after the first step (f0, the Jacobian build, two residuals) the
+        # predictor lands on the solution: one residual, f0 carried over
+        _, counts = solves_per_step(stepper, st, f_calls, 3)
+        assert counts[1:] == [1, 1]
+
+    def test_dropped_after_params_changed(self, f_calls):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                f_calls, 2)
+        stepper.params_changed()
+        _, counts = solves_per_step(stepper, st, f_calls, 2)
+        assert counts == [2, 1]
+
+    def test_not_reused_from_a_foreign_state(self, f_calls):
+        stepper = TrapezoidalStepper(RampDae(), 1e-3)
+        st, _ = solves_per_step(stepper, SystemState(np.zeros(1), np.zeros(1)),
+                                f_calls, 2)
+        # same values, other arrays: f0 is evaluated and the predictor
+        # restarts from y0, so one solve adds two residual evaluations
+        _, counts = solves_per_step(stepper, st.copy(), f_calls, 1)
+        assert counts == [3]
+
+    def test_reevaluated_after_every_sharing_update(self, monkeypatch):
+        """On 3bus-sharing, f0 is carried while the sharing offset stays
+        frozen and evaluated afresh on every step once the gate closes and
+        each update moves the offset."""
+        fresh = []   # per step: f evaluations at the step's start state
+        start = {"x": None, "y": None}
+        real_f, real_step = PowerSystemDae.f, TrapezoidalStepper.step
+
+        def f(self, x, y):
+            if x is start["x"] and y is start["y"]:
+                fresh[-1] += 1
+            return real_f(self, x, y)
+
+        def step(self, state):
+            start.update(x=state.x, y=state.y)
+            fresh.append(0)
+            return real_step(self, state)
+
+        monkeypatch.setattr(PowerSystemDae, "f", f)
+        monkeypatch.setattr(TrapezoidalStepper, "step", step)
+        tr = run_case(load_scenario("3bus-sharing"), t_end=1.7)
+        load = round(tr.first_event_time() / tr.dt)
+        gate = round(tr.first_event_time("gate_armed") / tr.dt)
+        assert load < gate < len(fresh)
+        assert fresh[0] == 1
+        assert fresh[1:load] == [0] * (load - 1)
+        assert fresh[load] == 1          # the load event marks it stale
+        assert 0 in fresh[load + 1:gate]
+        assert min(fresh[gate:]) >= 1
+
+
+def run_case_per_sample(scen, t_end):
+    """``run_case`` as it was before block observation: each accepted state
+    observed on its own right after its step, and ``f(x0, y0)`` evaluated
+    afresh on every step.  Returns the observed series by name."""
+    dae = scen.build_dae()
+    dt = scen.sim.dt
+    state = release_dynamics(
+        dae, solve_power_flow(scen.network, scen.dispatch_map()))
+    load_steps = {round(ev.t / dt): ev for ev in scen.events}
+    sharing = [k for k, dev in enumerate(dae.devices)
+               if getattr(dev, "sharing", None) is not None]
+    out = {key: [] for key in ("freq_hz", "p_dev", "p_sys", "v", "theta",
+                               "balance_residual")}
+
+    def record(state):
+        out["freq_hz"].append(dae.device_frequencies_hz(state.x))
+        p_dev, p_sys = dae.device_powers(state.x, state.y)
+        out["p_dev"].append(p_dev)
+        out["p_sys"].append(p_sys)
+        theta, v, _ = dae.split_y(state.y)
+        out["v"].append(v)
+        out["theta"].append(theta)
+        out["balance_residual"].append(
+            dae.power_balance_residual(state.x, state.y))
+
+    stepper = TrapezoidalStepper(dae, dt)
+    record(state)
+    for k in range(int(round(t_end / dt))):
+        ev = load_steps.get(k)
+        if ev is not None:
+            dae.apply_load_step(ev.bus, ev.dp, ev.dq)
+            stepper.mark_stale()
+        state = stepper.step(state)
+        timedomain._update_sharing(dae, sharing, state, dt, [])
+        stepper.params_changed()
+        record(state)
+    return {key: np.array(vals) for key, vals in out.items()}
+
+
+def row_wise_csv(tr) -> str:
+    """The trace CSV as written one value at a time."""
+    lines = [",".join(tr.column_names())]
+    for i in range(len(tr.t)):
+        vals = [tr.t[i]]
+        for k in range(len(tr.dev_names)):
+            vals += [tr.freq_hz[i, k], tr.p_dev[i, k], tr.p_sys[i, k]]
+        for k in range(len(tr.bus_ids)):
+            vals += [tr.v[i, k], tr.theta[i, k]]
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockRecording:
+    def test_matches_per_sample_observation(self):
+        # 1701 samples: six full blocks and a tail, the load step at 1 s
+        # (mid-block) and the sharing gate closing at 1.55 s
+        scen = load_scenario("3bus-sharing")
+        tr = run_case(scen, t_end=1.7)
+        ref = run_case_per_sample(scen, 1.7)
+        assert len(tr.t) > 6 * timedomain._OBSERVE_ROWS
+        assert tr.first_event_time() % (timedomain._OBSERVE_ROWS * tr.dt)
+        assert tr.first_event_time("gate_armed") is not None
+        for key in ("freq_hz", "p_dev", "p_sys", "v", "theta"):
+            assert np.array_equal(getattr(tr, key), ref[key]), key
+        np.testing.assert_allclose(tr.balance_residual,
+                                   ref["balance_residual"], rtol=0,
+                                   atol=1e-13)
+
+    def test_observations_accept_one_sample_or_a_block(self,
+                                                       case_a_equilibrium):
+        dae, state = case_a_equilibrium
+        rng = np.random.default_rng(3)
+        x = state.x + rng.normal(scale=1e-2, size=(5, dae.n_x))
+        y = state.y + rng.normal(scale=1e-2, size=(5, dae.n_y))
+        freq = dae.device_frequencies_hz(x)
+        p_dev, p_sys = dae.device_powers(x, y)
+        bal = dae.power_balance_residual(x, y)
+        assert freq.shape == p_dev.shape == p_sys.shape == (5, 2)
+        assert bal.shape == (5,)
+        for i in range(5):
+            assert np.array_equal(dae.device_frequencies_hz(x[i]), freq[i])
+            one_dev, one_sys = dae.device_powers(x[i], y[i])
+            assert np.array_equal(one_dev, p_dev[i])
+            assert np.array_equal(one_sys, p_sys[i])
+            assert dae.power_balance_residual(x[i], y[i]) == pytest.approx(
+                bal[i], rel=0, abs=1e-13)
+
+    def test_csv_matches_row_wise_writer(self, trace_case_a, tmp_path):
+        assert len(trace_case_a.t) % timedomain._CSV_ROWS
+        path = tmp_path / "trace.csv"
+        trace_case_a.to_csv(path)
+        assert path.read_bytes() == row_wise_csv(trace_case_a).encode()
+
+    def test_csv_writes_special_values_exactly(self, trace_case_a, tmp_path):
+        n = timedomain._CSV_ROWS + 3
+        tr = dataclasses.replace(
+            trace_case_a, t=trace_case_a.t[:n],
+            **{key: getattr(trace_case_a, key)[:n].copy()
+               for key in ("freq_hz", "p_dev", "p_sys", "v", "theta")})
+        tr.p_dev[0] = [-0.0, np.nan]
+        tr.v[1] = [np.inf, -np.inf, 5e-324]
+        tr.theta[n - 1] = [1e300, -1.0 / 3.0, 0.1]
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        assert path.read_bytes() == row_wise_csv(tr).encode()
+
+
+def test_lu_solve_matches_scipy():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(21, 21)) + 5.0 * np.eye(21)
+    b = rng.normal(size=21)
+    lu_piv = scipy.linalg.lu_factor(a)
+    got = timedomain.lu_solve(lu_piv, b)
+    want = scipy.linalg.lu_solve(lu_piv, b)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(a @ got, b, rtol=0, atol=1e-12)
 
 
 class TestStepper:
