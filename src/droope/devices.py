@@ -275,6 +275,19 @@ def terminal_power(state, v_mag, theta, i_d, i_q):
     return v_d * i_d + v_q * i_q
 
 
+def _coupling_partials(jac, n_s, v_mag, angle, i_d, i_q, r, x):
+    """Fill rows ``n_s`` and ``n_s + 1`` of a local Jacobian: the coupling
+    equations ``e_d - v_d - r i_d + x i_q`` and ``e_q - v_q - r i_q - x i_d``
+    with respect to delta (column 0) and (theta, v, i_d, i_q) (columns
+    ``n_s`` on).  ``angle`` is ``delta - theta``; the EMF columns are the
+    caller's."""
+    s, c = math.sin(angle), math.cos(angle)
+    d, q = n_s, n_s + 1
+    jac[d, 0], jac[q, 0] = -v_mag * c, v_mag * s
+    jac[d, n_s:] = v_mag * c, -s, -r, x
+    jac[q, n_s:] = -v_mag * s, -c, -x, -r
+
+
 def device_emf_interface(state, params):
     """Internal EMF and coupling impedance in machine coordinates.
 
@@ -387,11 +400,18 @@ def gfm_init_from_terminal(v_ph: complex, s_dev: complex, params):
 # ---------------------------------------------------------------------------
 
 class SgDevice:
-    """Synchronous generator bound to a network bus."""
+    """Synchronous generator bound to a network bus.
+
+    ``partials`` returns the local Jacobian ``(jac, jac_u)`` shared by every
+    device type: ``jac`` has the derivative rows, then the two stator rows,
+    against the device's own states, then (theta, v, i_d, i_q) at its
+    terminal; ``jac_u`` has the same rows against ``input_symbols``.
+    """
 
     kind = "sg"
     n_states = 9
     state_symbols = SG_STATE_SYMBOLS
+    input_symbols = ("p_set", "v_ref")
 
     def __init__(self, name: str, bus: int, params: SgParams):
         self.name = name
@@ -410,6 +430,38 @@ class SgDevice:
 
     def stator_residual(self, xs, v_mag, theta, i_d, i_q):
         return sg_stator_residual(xs, v_mag, theta, i_d, i_q, self.params)
+
+    def partials(self, xs, v_mag, theta, i_d, i_q):
+        pr = self.params
+        jac = np.zeros((11, 13))
+        # columns: delta omega eq_p ed_p e_fd v_r r_f p_m p_sv | theta v i_d i_q
+        k = pr.omega_s / (2.0 * pr.h)
+        dx = pr.x_q_p - pr.x_d_p
+        s_e = pr.sat_gamma * math.exp(pr.sat_epsilon * xs[4])
+        jac[0, 1] = 1.0
+        jac[1, 2], jac[1, 3], jac[1, 7] = -k * i_q, -k * i_d, k
+        jac[1, 11] = -k * (xs[3] + dx * i_q)
+        jac[1, 12] = -k * (xs[2] + dx * i_d)
+        jac[2, 2], jac[2, 4] = -1.0 / pr.t_do_p, 1.0 / pr.t_do_p
+        jac[2, 11] = -(pr.x_d - pr.x_d_p) / pr.t_do_p
+        jac[3, 3] = -1.0 / pr.t_qo_p
+        jac[3, 12] = (pr.x_q - pr.x_q_p) / pr.t_qo_p
+        jac[4, 4] = -(pr.k_e + s_e * (1.0 + pr.sat_epsilon * xs[4])) / pr.t_e
+        jac[4, 5] = 1.0 / pr.t_e
+        jac[5, 4] = -pr.k_a * pr.k_f / (pr.t_f * pr.t_a)
+        jac[5, 5], jac[5, 6] = -1.0 / pr.t_a, pr.k_a / pr.t_a
+        jac[5, 10] = -pr.k_a / pr.t_a
+        jac[6, 4], jac[6, 6] = pr.k_f / pr.t_f ** 2, -1.0 / pr.t_f
+        jac[7, 7], jac[7, 8] = -1.0 / pr.t_ch, 1.0 / pr.t_ch
+        jac[8, 1] = -1.0 / (pr.d_droop * pr.omega_s * pr.t_sv)
+        jac[8, 8] = -1.0 / pr.t_sv
+        _coupling_partials(jac, 9, v_mag, xs[0] - theta, i_d, i_q,
+                           pr.r_s, pr.x_q_p)
+        jac[10, 11] = -pr.x_d_p          # the d-axis reactance differs
+        jac[9, 3] = jac[10, 2] = 1.0     # the transient EMFs ed_p, eq_p
+        jac_u = np.zeros((11, 2))
+        jac_u[8, 0], jac_u[5, 1] = 1.0 / pr.t_sv, pr.k_a / pr.t_a
+        return jac, jac_u
 
     def initialize(self, v_ph: complex, s_dev: complex) -> np.ndarray:
         state, p_set, v_ref = sg_init_from_terminal(v_ph, s_dev, self.params)
@@ -443,6 +495,7 @@ class GfmDevice:
 
     n_states = 2
     state_symbols = GFM_STATE_SYMBOLS
+    input_symbols = ("p_set",)
 
     def __init__(self, name: str, bus: int, params, flavor: str = "droop_e",
                  sharing: PowerSharingState | None = None):
@@ -467,12 +520,22 @@ class GfmDevice:
     def p_set(self) -> float:
         return self.params.p_set
 
+    @p_set.setter
+    def p_set(self, value: float) -> None:
+        self.params.p_set = value
+
     def droop_offset(self, p_m):
         if self.flavor == "droop_e":
             return droop_e_offset(self.params.p_set, p_m, self.params.alpha,
                                   self.params.beta, self.params.omega_b)
         return static_droop_offset(self.params.p_set, p_m, self.params.droop,
                                    self.params.omega_b)
+
+    def droop_slope(self, p):
+        """Local droop (pu frequency per pu power) of the law at power ``p``."""
+        if self.flavor == "droop_e":
+            return droop_e_slope(p, self.params.alpha, self.params.beta)
+        return self.params.droop
 
     def derivatives(self, xs, v_mag, theta, i_d, i_q, omega_frame):
         fn = (gfm_droop_e_derivatives if self.flavor == "droop_e"
@@ -482,6 +545,23 @@ class GfmDevice:
 
     def stator_residual(self, xs, v_mag, theta, i_d, i_q):
         return gfm_stator_residual(xs, v_mag, theta, i_d, i_q, self.params)
+
+    def partials(self, xs, v_mag, theta, i_d, i_q):
+        """Local Jacobian ``(jac, jac_u)``; see SgDevice."""
+        pr = self.params
+        jac = np.zeros((4, 6))
+        # columns: delta p_m | theta v i_d i_q
+        jac[0, 1] = -pr.omega_b * self.droop_slope(xs[1])
+        angle = xs[0] - theta
+        s, c = math.sin(angle), math.cos(angle)
+        dp_dangle = v_mag * (c * i_d - s * i_q) / pr.t_fil
+        jac[1] = (dp_dangle, -1.0 / pr.t_fil, -dp_dangle,
+                  (s * i_d + c * i_q) / pr.t_fil, v_mag * s / pr.t_fil,
+                  v_mag * c / pr.t_fil)
+        _coupling_partials(jac, 2, v_mag, angle, i_d, i_q, pr.r_gfm, pr.x_gfm)
+        jac_u = np.zeros((4, 1))
+        jac_u[0, 0] = pr.omega_b * self.droop_slope(pr.p_set)
+        return jac, jac_u
 
     def initialize(self, v_ph: complex, s_dev: complex) -> np.ndarray:
         state, e_d, e_q = gfm_init_from_terminal(v_ph, s_dev, self.params)

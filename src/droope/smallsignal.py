@@ -1,8 +1,10 @@
-"""Numerical linearization, eigenanalysis and dispatch sweeps.
+"""Linearization, eigenanalysis and dispatch sweeps.
 
-The nonlinear DAE is linearized by central finite differences into the
-blocks f_x, f_y, g_x, g_y; eliminating the algebraic variables gives the
-reduced state matrix ``a_sys = f_x - f_y g_y^-1 g_x``.
+The nonlinear DAE is linearized by its analytic Jacobian
+(``PowerSystemDae.jacobian``) into the blocks f_x, f_y, g_x, g_y;
+eliminating the algebraic variables gives the reduced state matrix
+``a_sys = f_x - f_y g_y^-1 g_x``, and the set-point columns f_u, g_u give
+``b = f_u - f_y g_y^-1 g_u``.
 
 Because device and bus angles are absolute, the model carries an exact
 one-dimensional symmetry (shifting every angle together changes nothing),
@@ -24,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DroopeError, NumericError, PowerFlowError
 from .network import solve_power_flow
-from .system import PowerSystemDae, find_equilibrium
+from .system import PowerSystemDae
 
 log = logging.getLogger(__name__)
 
@@ -73,23 +75,12 @@ class ModalResult:
         return [self.state_labels[k] for k in order]
 
 
-def _central_jacobian(fn, z0, f0_len, h_scale):
-    jac = np.empty((f0_len, len(z0)))
-    for j in range(len(z0)):
-        h = h_scale * max(1.0, abs(z0[j]))
-        zp, zm = z0.copy(), z0.copy()
-        zp[j] += h
-        zm[j] -= h
-        jac[:, j] = (fn(zp) - fn(zm)) / (2.0 * h)
-    return jac
-
-
-def linearize(dae: PowerSystemDae, x0, y0, h_scale: float = 1e-6,
+def linearize(dae: PowerSystemDae, x0, y0,
               with_inputs: bool = True) -> LinearizationResult:
-    """Finite-difference Jacobian blocks and the reduced state matrix.
+    """Jacobian blocks, the reduced state matrix and the input matrix.
 
-    ``(x0, y0)`` must be an equilibrium (see ``find_equilibrium``); the
-    perturbation is ``h_scale * max(1, |value|)`` per column.  Raises
+    ``(x0, y0)`` must be an equilibrium (see ``find_equilibrium``).  The
+    inputs are the device set-points ``dae.input_labels``.  Raises
     NumericError naming the offending pivot if the algebraic block is
     singular at the point.
     """
@@ -97,10 +88,10 @@ def linearize(dae: PowerSystemDae, x0, y0, h_scale: float = 1e-6,
     if fnorm > 1e-6:
         raise DroopeError(
             f"linearize called off-equilibrium (max|dx/dt| = {fnorm:.3e})")
-    f_x = _central_jacobian(lambda x: dae.f(x, y0), x0, dae.n_x, h_scale)
-    f_y = _central_jacobian(lambda y: dae.f(x0, y), y0, dae.n_x, h_scale)
-    g_x = _central_jacobian(lambda x: dae.g(x, y0), x0, dae.n_y, h_scale)
-    g_y = _central_jacobian(lambda y: dae.g(x0, y), y0, dae.n_y, h_scale)
+    n_x = dae.n_x
+    jac = dae.jacobian(x0, y0)
+    f_x, f_y = jac[:n_x, :n_x], jac[:n_x, n_x:]
+    g_x, g_y = jac[n_x:, :n_x], jac[n_x:, n_x:]
 
     lu, piv = scipy.linalg.lu_factor(g_y)
     diag = np.abs(np.diag(lu))
@@ -111,43 +102,14 @@ def linearize(dae: PowerSystemDae, x0, y0, h_scale: float = 1e-6,
 
     b_matrix, input_labels = None, ()
     if with_inputs:
-        f_u, g_u, input_labels = _input_jacobians(dae, x0, y0, h_scale)
-        b_matrix = f_u - f_y @ scipy.linalg.lu_solve((lu, piv), g_u)
+        jac_u = dae.input_jacobian(x0, y0)
+        b_matrix = jac_u[:n_x] - f_y @ scipy.linalg.lu_solve((lu, piv),
+                                                             jac_u[n_x:])
+        input_labels = dae.input_labels
     return LinearizationResult(
         f_x=f_x, f_y=f_y, g_x=g_x, g_y=g_y, a_sys=a_sys,
         state_labels=tuple(dae.x_labels), alg_labels=tuple(dae.y_labels),
         b_matrix=b_matrix, input_labels=tuple(input_labels))
-
-
-def _input_jacobians(dae, x0, y0, h_scale):
-    """Sensitivities to the exogenous setpoints (power and SG voltage)."""
-    cols_f, cols_g, labels = [], [], []
-
-    def probe(getter, setter, label):
-        u0 = getter()
-        h = h_scale * max(1.0, abs(u0))
-        setter(u0 + h)
-        fp, gp = dae.f(x0, y0), dae.g(x0, y0)
-        setter(u0 - h)
-        fm, gm = dae.f(x0, y0), dae.g(x0, y0)
-        setter(u0)
-        cols_f.append((fp - fm) / (2 * h))
-        cols_g.append((gp - gm) / (2 * h))
-        labels.append(label)
-
-    for dev in dae.devices:
-        if dev.kind == "sg":
-            probe(lambda d=dev: d.p_set,
-                  lambda v, d=dev: setattr(d, "p_set", v),
-                  f"{dev.name}.p_set")
-            probe(lambda d=dev: d.v_ref,
-                  lambda v, d=dev: setattr(d, "v_ref", v),
-                  f"{dev.name}.v_ref")
-        else:
-            probe(lambda d=dev: d.params.p_set,
-                  lambda v, d=dev: setattr(d.params, "p_set", v),
-                  f"{dev.name}.p_set")
-    return np.column_stack(cols_f), np.column_stack(cols_g), labels
 
 
 def participation_factors(right: np.ndarray, left: np.ndarray):
@@ -258,8 +220,7 @@ def modal_point(scenario, p_set: float) -> ModalResult:
     pf = solve_power_flow(scen.network, scen.dispatch_map())
     from .timedomain import release_dynamics  # local import; no cycle at module load
     state = release_dynamics(dae, pf)
-    x, y = find_equilibrium(dae, state.x, state.y)
-    lin = linearize(dae, x, y, with_inputs=False)
+    lin = linearize(dae, state.x, state.y, with_inputs=False)
     return eigen_decompose(lin.a_sys, state_labels=lin.state_labels,
                            dispatch=p_set)
 

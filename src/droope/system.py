@@ -21,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import terminal_power
-from .errors import AlgebraicSolveError
+from .errors import AlgebraicSolveError, InitializationError
 from .network import NetworkModel, build_admittance
 
-_EPS_FD = 1e-7
+# Largest change of the slack set-point (device pu) that find_equilibrium
+# accepts as the power flow's own mismatch.
+_SLACK_CORRECTION_MAX = 1e-6
 
 
 @dataclass
@@ -71,6 +73,24 @@ class PowerSystemDae:
             off += d.n_states
         self.n_x = off
         self.n_y = 2 * n + 2 * len(self.devices)
+
+        self.input_labels = [f"{d.name}.{sym}" for d in self.devices
+                             for sym in d.input_symbols]
+        # Rows and columns of [f; g] and [x; y] (and of the inputs) that
+        # each device's local partials land on.
+        self._local_index = []
+        self._input_index = []
+        u_off = 0
+        for k, (d, b) in enumerate(zip(self.devices, self.dev_bus)):
+            states = list(range(self.x_offsets[k],
+                                self.x_offsets[k] + d.n_states))
+            idq = [self.n_x + 2 * n + 2 * k, self.n_x + 2 * n + 2 * k + 1]
+            self._local_index.append(np.ix_(
+                states + idq, states + [self.n_x + b, self.n_x + n + b] + idq))
+            n_u = len(d.input_symbols)
+            self._input_index.append(np.ix_(states + idq,
+                                            range(u_off, u_off + n_u)))
+            u_off += n_u
 
         self.x_labels = [f"{d.name}.{sym}" for d in self.devices
                          for sym in d.state_symbols]
@@ -138,6 +158,64 @@ class PowerSystemDae:
 
     def full_residual(self, x, y) -> np.ndarray:
         return np.concatenate([self.f(x, y), self.g(x, y)])
+
+    # -- Jacobians --------------------------------------------------------
+
+    def _device_partials(self, x, y, k: int):
+        off, b = self.x_offsets[k], self.dev_bus[k]
+        n = self.n_bus
+        dev = self.devices[k]
+        return dev.partials(x[off:off + dev.n_states], y[n + b], y[b],
+                            y[2 * n + 2 * k], y[2 * n + 2 * k + 1])
+
+    def jacobian(self, x, y) -> np.ndarray:
+        """Analytic Jacobian of ``[f; g]`` with respect to ``[x; y]``.
+
+        Device blocks come from each device's ``partials``; the network
+        part is the bus current balance at ``(v cos(theta), v sin(theta))``
+        with the constant-power loads as they stand now.
+        """
+        n, n_x = self.n_bus, self.n_x
+        theta, v = y[:n], y[n:2 * n]
+        jac = np.zeros((n_x + self.n_y, n_x + self.n_y))
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        vc, vs = v * cos_t, v * sin_t
+        gm, bm = self._g, self._b
+        # rows: real then imaginary bus currents; columns: theta then v
+        lo, hi = slice(n_x, n_x + n), slice(n_x + n, n_x + 2 * n)
+        jac[lo, lo] = gm * vs + bm * vc
+        jac[lo, hi] = bm * sin_t - gm * cos_t
+        jac[hi, lo] = bm * vs - gm * vc
+        jac[hi, hi] = -(gm * sin_t + bm * cos_t)
+        p, q = self.p_load, self.q_load
+        load_a = (p * sin_t - q * cos_t) / v
+        load_b = (p * cos_t + q * sin_t) / v
+        diag = np.arange(n_x, n_x + n)
+        jac[diag, diag] += load_a
+        jac[diag, diag + n] += load_b / v
+        jac[diag + n, diag] -= load_b
+        jac[diag + n, diag + n] += load_a / v
+        idq = y[2 * n:]
+        for k in range(len(self.devices)):
+            jac[self._local_index[k]] = self._device_partials(x, y, k)[0]
+            # the device current injected at its bus, rotated by delta
+            off = self.x_offsets[k]
+            row, col = n_x + self.dev_bus[k], n_x + 2 * n + 2 * k
+            i_d, i_q = idq[2 * k], idq[2 * k + 1]
+            sd, cd = math.sin(x[off]), math.cos(x[off])
+            c = self.dev_ratio[k]
+            jac[row, off] = (i_d * cd - i_q * sd) * c
+            jac[row, col:col + 2] = sd * c, cd * c
+            jac[row + n, off] = (i_d * sd + i_q * cd) * c
+            jac[row + n, col:col + 2] = -cd * c, sd * c
+        return jac
+
+    def input_jacobian(self, x, y) -> np.ndarray:
+        """Columns of ``d[f; g]/du`` for the set-points ``input_labels``."""
+        jac_u = np.zeros((self.n_x + self.n_y, len(self.input_labels)))
+        for k in range(len(self.devices)):
+            jac_u[self._input_index[k]] = self._device_partials(x, y, k)[1]
+        return jac_u
 
     # -- observations -----------------------------------------------------
     #
@@ -217,12 +295,13 @@ def solve_network_algebraic(dae: PowerSystemDae, x, y0=None, tol: float = 1e-10,
     Converges to a Kirchhoff residual below ``tol`` (infinity norm) or
     raises AlgebraicSolveError carrying the offending time.
     """
+    n_x = dae.n_x
     y = dae.initial_y_guess(x) if y0 is None else y0.copy()
     res = dae.g(x, y)
     for _ in range(max_iter):
         if np.max(np.abs(res)) < tol:
             return y
-        jac = _fd_jacobian(lambda yy: dae.g(x, yy), y, res)
+        jac = dae.jacobian(x, y)[n_x:, n_x:]
         try:
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
@@ -239,49 +318,49 @@ def find_equilibrium(dae: PowerSystemDae, x0, y0, tol: float = 1e-10,
                      max_iter: int = 25):
     """Polish (x, y) until the full DAE residual vanishes.
 
-    The combined Jacobian is rank-deficient by one along the uniform
-    angle-shift direction, so the Newton system is augmented with a gauge
-    row pinning the first device angle at its start value; the solution
-    manifold crosses that plane transversally, restoring a well-posed
-    least-squares step.
+    Newton on the full DAE with its analytic Jacobian, bordered to a square
+    system.  The Jacobian is rank-deficient by one along the uniform
+    angle-shift direction, so a gauge row pins the first device angle at
+    its start value.  With every set-point fixed, generation can miss load
+    plus losses by the power flow's own mismatch, which no fixed-frequency
+    equilibrium absorbs; so the slack device's power set-point is freed as
+    one extra unknown, as the power-flow slack it is.  The device keeps the
+    polished set-point.  Raises InitializationError if it moved by more
+    than 1e-6 pu, which means a bad power flow rather than its round-off.
     """
-    z = np.concatenate([x0, y0])
     n_x = dae.n_x
+    slack = next((d for d, b in zip(dae.devices, dae.dev_bus)
+                  if b == dae.network.slack_index), None)
+    if slack is None:
+        raise InitializationError("no device at the slack bus")
+    p_col = dae.input_labels.index(f"{slack.name}.p_set")
+    p_start = slack.p_set
+    z = np.concatenate([x0, y0])
+    n = len(z)
     anchor_idx = dae.x_offsets[0]
     anchor = z[anchor_idx]
-
-    def residual(z):
-        return dae.full_residual(z[:n_x], z[n_x:])
-
-    gauge_row = np.zeros(len(z))
-    gauge_row[anchor_idx] = 1.0
-    res = residual(z)
+    aug = np.zeros((n + 1, n + 1))
+    aug[n, anchor_idx] = 1.0
+    rhs = np.empty(n + 1)
+    rhs[:n] = dae.full_residual(z[:n_x], z[n_x:])
     for _ in range(max_iter):
-        if np.max(np.abs(res)) < tol:
+        if np.max(np.abs(rhs[:n])) < tol:
+            correction = slack.p_set - p_start
+            if abs(correction) > _SLACK_CORRECTION_MAX:
+                raise InitializationError(
+                    f"slack set-point {slack.name}.p_set moved by "
+                    f"{correction:.3e} pu to balance the power flow")
             return z[:n_x], z[n_x:]
-        jac = _fd_jacobian(residual, z, res, central=True)
-        aug = np.vstack([jac, gauge_row])
-        rhs = np.concatenate([res, [z[anchor_idx] - anchor]])
-        step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-        z = z - step
-        res = residual(z)
-    raise AlgebraicSolveError(
-        f"equilibrium refinement stalled at residual {np.max(np.abs(res)):.3e}")
-
-
-def _fd_jacobian(fn, z, f0=None, central: bool = False) -> np.ndarray:
-    """Finite-difference Jacobian of ``fn`` at ``z``."""
-    if f0 is None:
-        f0 = fn(z)
-    jac = np.empty((len(f0), len(z)))
-    for j in range(len(z)):
-        h = _EPS_FD * max(1.0, abs(z[j]))
-        zp = z.copy()
-        zp[j] += h
-        if central:
-            zm = z.copy()
-            zm[j] -= h
-            jac[:, j] = (fn(zp) - fn(zm)) / (2.0 * h)
-        else:
-            jac[:, j] = (fn(zp) - f0) / h
-    return jac
+        x, y = z[:n_x], z[n_x:]
+        aug[:n, :n] = dae.jacobian(x, y)
+        aug[:n, n] = dae.input_jacobian(x, y)[:, p_col]
+        rhs[n] = z[anchor_idx] - anchor
+        try:
+            step = np.linalg.solve(aug, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise AlgebraicSolveError(f"singular equilibrium Jacobian: {exc}")
+        z = z - step[:n]
+        slack.p_set -= step[n]
+        rhs[:n] = dae.full_residual(z[:n_x], z[n_x:])
+    raise AlgebraicSolveError(f"equilibrium refinement stalled at residual "
+                              f"{np.max(np.abs(rhs[:n])):.3e}")

@@ -2,7 +2,8 @@
 
 Integration is the trapezoidal rule with the algebraic constraints solved
 simultaneously (a partitioned scheme is unreliable with constant-power
-loads).  The Newton matrix is reused across steps and refreshed only when
+loads).  The Newton matrix is built from the analytic DAE Jacobian
+(``PowerSystemDae.jacobian``), reused across steps and refreshed only when
 convergence degrades; a failing step falls back to halving the internal
 step size up to four times before aborting.  Events are applied at grid
 boundaries only so traces are deterministic.
@@ -21,8 +22,8 @@ from scipy.linalg.lapack import dgetrs
 from .devices import Gate, GfmDevice
 from .errors import InitializationError, ScenarioError, StepError
 from .network import PowerFlowSolution, solve_power_flow
-from .system import (PowerSystemDae, SystemState, _fd_jacobian,
-                     find_equilibrium, solve_network_algebraic)
+from .system import (PowerSystemDae, SystemState, find_equilibrium,
+                     solve_network_algebraic)
 
 log = logging.getLogger(__name__)
 
@@ -158,16 +159,13 @@ class TrapezoidalStepper:
         self._f_end = None
 
     def _refresh_jacobian(self, x, y, dt) -> None:
+        """Factorize ``[[I - dt/2 f_x, -dt/2 f_y], [g_x, g_y]]`` at (x, y)."""
         n_x = self.dae.n_x
-
-        def shape(z):
-            fx = self.dae.f(z[:n_x], z[n_x:])
-            gx = self.dae.g(z[:n_x], z[n_x:])
-            return np.concatenate([z[:n_x] - 0.5 * dt * fx, gx])
-
-        z = np.concatenate([x, y])
+        jac = self.dae.jacobian(x, y)
+        jac[:n_x] *= -0.5 * dt
+        jac[:n_x, :n_x] += np.eye(n_x)
         try:
-            self._lu = lu_factor(_fd_jacobian(shape, z))
+            self._lu = lu_factor(jac)
         except ValueError as exc:   # lu_factor rejects a non-finite matrix
             raise StepError(f"non-finite Newton matrix: {exc}",
                             residual=math.nan) from exc
@@ -248,9 +246,10 @@ def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:
     """Turn a power-flow point into a consistent dynamic equilibrium.
 
     Every device back-solves its internal states and setpoints from the
-    solved terminal voltage and injection, the algebraic variables are
-    polished, and the start is verified stationary (all derivatives below
-    1e-8).
+    solved terminal voltage and injection, the whole point is polished by
+    ``find_equilibrium`` (which frees the slack device's power set-point to
+    absorb the power flow's mismatch), and the start is verified stationary
+    (all derivatives below 1e-8).
     """
     net = dae.network
     n = net.n_bus

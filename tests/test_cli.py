@@ -3,11 +3,24 @@ import json
 import numpy as np
 import pytest
 
+from droope import smallsignal
 from droope.cli import main
-from droope.errors import ScenarioError
+from droope.errors import InitializationError, ScenarioError
 from droope.metrics import headroom_csv, headroom_markdown, headroom_table
 from droope.network import solve_power_flow
 from droope.scenario import (BUILTINS, load_scenario, scenario_from_dict)
+
+
+def fail_release_at(monkeypatch, dispatches):
+    """Make the sweep's points at ``dispatches`` fail as a release would."""
+    real = smallsignal.modal_point
+
+    def modal_point(scenario, p_set):
+        if p_set in dispatches:
+            raise InitializationError(f"release refused at p_set={p_set}")
+        return real(scenario, p_set)
+
+    monkeypatch.setattr(smallsignal, "modal_point", modal_point)
 
 
 class TestBuiltinScenarios:
@@ -182,9 +195,11 @@ class TestCommandLine:
         assert lines[0].startswith("p_set,track,re,im,zeta,freq_hz")
         assert len(lines) == 1 + 5 * 11
 
-    def test_eig_sweep_names_failure_class(self, tmp_path, capsys):
-        # the low-dispatch 9-bus points fail in release, not in power flow;
-        # a sweep with no successful point is a failed run
+    def test_eig_sweep_names_failure_class(self, tmp_path, capsys,
+                                           monkeypatch):
+        # points that fail in release, not in power flow, are named by
+        # their error class; a sweep with no successful point is a failed run
+        fail_release_at(monkeypatch, {0.01, 0.02})
         rc = main(["eig-sweep", "--scenario", "9bus-caseC",
                    "--out", str(tmp_path),
                    "--from", "0.01", "--to", "0.02", "--step", "0.01"])
@@ -197,7 +212,8 @@ class TestCommandLine:
         assert not (tmp_path / "9bus-caseC_modes.csv").exists()
 
     def test_eig_sweep_with_some_points_failed_succeeds(self, tmp_path,
-                                                         capsys):
+                                                         capsys, monkeypatch):
+        fail_release_at(monkeypatch, {0.05})
         rc = main(["eig-sweep", "--scenario", "9bus-caseC",
                    "--out", str(tmp_path),
                    "--from", "0.05", "--to", "0.06", "--step", "0.01"])

@@ -15,11 +15,12 @@ from droope.system import (PowerSystemDae, SystemState,
                            solve_network_algebraic)
 from droope.timedomain import (Event, TrapezoidalStepper, release_dynamics,
                                run_case)
+from fd_oracle import OracleJacobian
 
 W_B = 377.0
 
 
-class DecayOde:
+class DecayOde(OracleJacobian):
     """dx/dt = -x with no algebraic part; exact solution exp(-t)."""
 
     n_x, n_y = 1, 0
@@ -33,7 +34,7 @@ class DecayOde:
         return np.zeros(0)
 
 
-class RampDae:
+class RampDae(OracleJacobian):
     """dx/dt = 1, 0 = y - x.  The algebraic unknown is linear in time, so the
     extrapolating predictor lands on the solution and Newton needs no solve;
     from ``y0`` it needs one.  ``poison`` makes that many f calls NaN."""
@@ -61,7 +62,8 @@ class CliffOde(DecayOde):
 
 
 class RidgeOde(DecayOde):
-    """dx/dt = 1 while x <= 0; the derivative is NaN above zero."""
+    """dx/dt = 1 while x <= 0; the derivative is NaN above zero, and so is
+    the Jacobian within the oracle's step of it."""
 
     def f(self, x, y):
         return np.where(x <= 0.0, 1.0, np.nan)
@@ -427,6 +429,28 @@ class TestRelease:
         pf = solve_power_flow(scen.network, scen.dispatch_map())
         state = release_dynamics(dae, pf)
         assert state.x[dae.x_offsets[1] + 1] == pytest.approx(0.50, abs=1e-9)
+
+    @pytest.mark.parametrize("p_set", [0.01, 0.02, 0.03, 0.04, 0.05])
+    def test_low_dispatch_nine_bus_releases(self, p_set):
+        # the power flow's mismatch is left to the slack set-point; with
+        # every set-point fixed the polish stalled here above 1e-10
+        scen = load_scenario("9bus-caseC").with_gfm_dispatch(p_set)
+        dae = scen.build_dae()
+        pf = solve_power_flow(scen.network, scen.dispatch_map())
+        state = release_dynamics(dae, pf)
+        assert np.max(np.abs(dae.full_residual(state.x, state.y))) < 1e-10
+
+    def test_power_flow_imbalance_is_not_absorbed(self):
+        # the slack machine back-solves its set-point from an injection
+        # 1e-4 pu off the network's
+        scen = load_scenario("3bus-caseB")
+        dae = scen.build_dae()
+        pf = solve_power_flow(scen.network, scen.dispatch_map())
+        injections = dict(pf.injections)
+        injections[1] += 1e-4
+        with pytest.raises(InitializationError, match="slack set-point"):
+            release_dynamics(dae, dataclasses.replace(pf,
+                                                      injections=injections))
 
     def test_infeasible_backsolve_raises(self):
         # deep under-excitation demands a negative field voltage
