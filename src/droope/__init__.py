@@ -2,8 +2,8 @@
 grid-forming inverters with exponential frequency-power droop control."""
 
 from .devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
-                      PowerSharingState, SgDevice, SgParams, droop_e_offset,
-                      power_sharing_update, static_droop_offset)
+                      PowerSharingSpec, SgDevice, SgParams, droop_e_offset,
+                      static_droop_offset)
 from .errors import (AlgebraicSolveError, DroopeError, InitializationError,
                      NumericError, PowerFlowError, ScenarioError, StepError,
                      TopologyError)

@@ -194,25 +194,18 @@ def cmd_report(args) -> int:
         (out / "table_I.csv").write_text(headroom_csv(rows))
         print(f"table I written to {out / 'table_I.md'}")
 
-    if "V" in wanted:
-        cases = ["3bus-caseA", "3bus-caseB", "3bus-caseC"]
-        results = _run_cases(cases, "sg", jobs)
-        rows = [(name, st) for name, st, _ in results]
-        (out / "table_V.md").write_text(
-            metrics.case_stats_markdown(rows, "synchronous-machine"))
-        (out / "table_V.csv").write_text(
-            metrics.case_stats_csv(rows, "synchronous-machine"))
-        print(f"table V written to {out / 'table_V.md'}")
-
-    if "VII" in wanted:
-        cases = ["9bus-caseA", "9bus-caseB", "9bus-caseC"]
-        results = _run_cases(cases, "weighted", jobs)
-        rows = [(name, st, h) for name, st, h in results]
-        (out / "table_VII.md").write_text(
-            metrics.multi_case_markdown(rows, "rating-weighted"))
-        (out / "table_VII.csv").write_text(
-            metrics.multi_case_csv(rows, "rating-weighted"))
-        print(f"table VII written to {out / 'table_VII.md'}")
+    for table, cases, source, label, layout in (
+            ("V", ["3bus-caseA", "3bus-caseB", "3bus-caseC"], "sg",
+             "synchronous-machine", metrics.TABLE_V),
+            ("VII", ["9bus-caseA", "9bus-caseB", "9bus-caseC"], "weighted",
+             "rating-weighted", metrics.TABLE_VII)):
+        if table not in wanted:
+            continue
+        md, csv = metrics.case_table(_run_cases(cases, source, jobs), label,
+                                     layout)
+        (out / f"table_{table}.md").write_text(md)
+        (out / f"table_{table}.csv").write_text(csv)
+        print(f"table {table} written to {out / f'table_{table}.md'}")
     return 0
 
 

@@ -1,17 +1,20 @@
 """Dynamic device models and controllers.
 
-Three device types are modelled, all in machine (device-MVA) per unit:
+Two device types are modelled, all in machine (device-MVA) per unit:
 
 * a 9th-order synchronous generator: two-axis machine with flux decay,
   Type-1 rotating exciter with exponential saturation, first-order
   governor and no-reheat steam-chest turbine;
-* a 2nd-order grid-forming inverter with the exponential frequency-power
-  droop (constant internal voltage behind a coupling impedance);
-* the same inverter with a conventional linear (static) droop.
+* a 2nd-order grid-forming inverter (constant internal voltage behind a
+  coupling impedance) whose frequency-power law comes with its
+  parameters: the exponential droop (``GfmDroopEParams``) or a
+  conventional linear droop (``GfmStaticParams``).
 
-A secondary power-sharing controller can be layered on the exponential
-droop; it nudges the inverter frequency until the device settles on the
-static-droop share of a disturbance.
+An inverter can carry the secondary power-sharing controller as a third
+state ``omega_ps``, an integrator that nudges its frequency until the
+device settles on the static-droop share of a disturbance.  Its input is
+gated: the gate is a discrete mode, checked at step boundaries, that
+closes once the primary response has settled.
 
 Machine dq quantities map to the network frame through
 ``(F_d + jF_q) * exp(j*(delta - pi/2))``, so ``v_d = V sin(delta - theta)``
@@ -21,8 +24,7 @@ and ``v_q = V cos(delta - theta)`` at a terminal ``V`` at angle ``theta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,8 @@ OMEGA_B_DEFAULT = 377.0
 
 SG_STATE_SYMBOLS = ("delta", "omega", "eq_p", "ed_p", "e_fd", "v_r", "r_f",
                     "p_m", "p_sv")
-GFM_STATE_SYMBOLS = ("delta", "p_m")
+# the third only with power sharing
+GFM_STATE_SYMBOLS = ("delta", "p_m", "omega_ps")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ class SgParams:
 
     def __post_init__(self):
         for attr in ("h", "t_do_p", "t_qo_p", "t_a", "t_e", "t_f", "t_sv",
-                     "t_ch", "d_droop"):
+                     "t_ch", "d_droop", "rating_mva"):
             if getattr(self, attr) <= 0:
                 raise ValueError(f"SgParams.{attr} must be > 0")
         if not 0 < self.x_d_p < self.x_d:
@@ -78,6 +81,7 @@ class SgParams:
 @dataclass
 class GfmDroopEParams:
     """Exponential-droop grid-forming inverter constants (device pu)."""
+    kind = "gfm_droop_e"
     alpha: float = 0.002       # pu frequency scalar
     beta: float = 3.0          # 1/pu power argument scale
     omega_b: float = OMEGA_B_DEFAULT
@@ -91,15 +95,26 @@ class GfmDroopEParams:
     rating_mva: float = 50.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.t_fil <= 0:
-            raise ValueError("GfmDroopEParams requires alpha, beta, t_fil > 0")
+        if min(self.alpha, self.beta, self.t_fil, self.rating_mva) <= 0:
+            raise ValueError(
+                "GfmDroopEParams requires alpha, beta, t_fil, rating_mva > 0")
         if not 0.0 <= self.p_set <= 1.0:
             raise ValueError("GfmDroopEParams.p_set must lie in [0, 1]")
+
+    def offset(self, p_m):
+        """Frequency offset (rad/s) of the law at filtered power ``p_m``."""
+        return droop_e_offset(self.p_set, p_m, self.alpha, self.beta,
+                              self.omega_b)
+
+    def slope(self, p):
+        """Local droop (pu frequency per pu power) of the law at ``p``."""
+        return droop_e_slope(p, self.alpha, self.beta)
 
 
 @dataclass
 class GfmStaticParams:
     """Linear-droop grid-forming inverter constants (device pu)."""
+    kind = "gfm_static"
     droop: float = 0.05        # pu frequency per pu power; 0 is allowed
     omega_b: float = OMEGA_B_DEFAULT
     t_fil: float = 0.0167
@@ -112,31 +127,27 @@ class GfmStaticParams:
     rating_mva: float = 50.0
 
     def __post_init__(self):
-        if self.droop < 0 or self.t_fil <= 0:
-            raise ValueError("GfmStaticParams requires droop >= 0, t_fil > 0")
+        if self.droop < 0 or self.t_fil <= 0 or self.rating_mva <= 0:
+            raise ValueError(
+                "GfmStaticParams requires droop >= 0, t_fil, rating_mva > 0")
 
+    def offset(self, p_m):
+        """Frequency offset (rad/s) of the law at filtered power ``p_m``."""
+        return static_droop_offset(self.p_set, p_m, self.droop, self.omega_b)
 
-class Gate(str, Enum):
-    OPEN = "open"
-    CLOSED = "closed"
+    def slope(self, p):
+        """Local droop (pu frequency per pu power): the constant ``droop``."""
+        return self.droop
 
 
 @dataclass(frozen=True)
-class PowerSharingState:
-    """Secondary power-sharing controller state.
-
-    The gate arms on the first update (capturing the pre-disturbance
-    filtered power) and closes once the disturbance registers and the
-    primary transient has died down; it then stays closed until an
-    operator reset builds a fresh state.
-    """
-    omega_ps: float = 0.0
-    gate: Gate = Gate.OPEN
+class PowerSharingSpec:
+    """Secondary power-sharing controller settings of one inverter."""
+    enabled: bool = False
+    k: float = 0.3             # integrator gain, 1/s
     eps_p: float = 0.01        # pu power disturbance threshold
     eps_dp: float = 0.001      # pu power/s quiescence threshold
-    k: float = 0.3             # integrator gain, 1/s
     d_static: float = 0.05     # droop share target
-    p_ref: float | None = None  # pre-disturbance filtered power
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +223,6 @@ def sg_derivatives(state, v_mag, theta, i_d, i_q, params: SgParams,
     ])
 
 
-def gfm_droop_e_derivatives(state, v_mag, theta, i_d, i_q,
-                            params: GfmDroopEParams, omega_ps=0.0,
-                            omega_frame=None):
-    """Two state derivatives (delta, p_m) of the exponential-droop inverter."""
-    delta, p_m = state
-    if omega_frame is None:
-        omega_frame = params.omega_set
-    v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
-    p_meas = v_d * i_d + v_q * i_q
-    d_delta = (droop_e_offset(params.p_set, p_m, params.alpha, params.beta,
-                              params.omega_b)
-               + params.omega_set - omega_frame + omega_ps)
-    return np.array([d_delta, (p_meas - p_m) / params.t_fil])
-
-
-def gfm_static_droop_derivatives(state, v_mag, theta, i_d, i_q,
-                                 params: GfmStaticParams, omega_ps=0.0,
-                                 omega_frame=None):
-    """Two state derivatives (delta, p_m) of the linear-droop inverter."""
-    delta, p_m = state
-    if omega_frame is None:
-        omega_frame = params.omega_set
-    v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
-    p_meas = v_d * i_d + v_q * i_q
-    d_delta = (static_droop_offset(params.p_set, p_m, params.droop,
-                                   params.omega_b)
-               + params.omega_set - omega_frame + omega_ps)
-    return np.array([d_delta, (p_meas - p_m) / params.t_fil])
-
-
 def sg_stator_residual(state, v_mag, theta, i_d, i_q, params: SgParams):
     """Two-axis stator equations; zero when (V, theta, I) are consistent."""
     delta, eq_p, ed_p = state[0], state[2], state[3]
@@ -300,37 +281,6 @@ def device_emf_interface(state, params):
                 complex(params.r_s, params.x_d_p))
     return (params.e_d, params.e_q, state[0],
             complex(params.r_gfm, params.x_gfm))
-
-
-# ---------------------------------------------------------------------------
-# secondary power-sharing controller
-# ---------------------------------------------------------------------------
-
-def power_sharing_update(ps: PowerSharingState, p_set, p_m, dp_dt,
-                         omega_delta, omega_b, dt):
-    """Advance the power-sharing controller by one accepted step.
-
-    ``omega_delta`` is the device's primary-droop frequency deviation in
-    rad/s.  While the gate is open the offset stays frozen at zero; once
-    the filtered power has moved more than ``eps_p`` from its
-    pre-disturbance value and settled (``|dp_dt| < eps_dp``), the gate
-    closes and the integrator drives the total frequency deviation onto the
-    static-droop line.  Returns the new state and its rad/s contribution.
-    """
-    if ps.p_ref is None:
-        ps = replace(ps, p_ref=p_m)
-    gate = ps.gate
-    if gate is Gate.OPEN:
-        if abs(p_m - ps.p_ref) > ps.eps_p and abs(dp_dt) < ps.eps_dp:
-            gate = Gate.CLOSED
-    omega_ps = ps.omega_ps
-    if gate is Gate.CLOSED:
-        omega_5 = omega_b * ps.d_static * (p_set - p_m)
-        omega_e = omega_5 - omega_delta - omega_ps
-        omega_ps = omega_ps + dt * ps.k * omega_e
-    if gate is not ps.gate or omega_ps != ps.omega_ps:
-        ps = replace(ps, gate=gate, omega_ps=omega_ps)
-    return ps, omega_ps
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +419,8 @@ class SgDevice:
         self.v_ref = v_ref
         return state
 
-    def frequency_deviation(self, xs, omega_nominal: float, omega_ps=None):
-        """Device frequency minus nominal, rad/s, per sample of ``xs``.
-
-        ``omega_ps`` is accepted for a uniform device interface; a machine
-        has no power-sharing offset.
-        """
+    def frequency_deviation(self, xs, omega_nominal: float):
+        """Device frequency minus nominal, rad/s, per sample of ``xs``."""
         return xs.T[1] - omega_nominal
 
     def output_power(self, xs, v_mag, theta, i_d, i_q):
@@ -488,29 +434,30 @@ class SgDevice:
 class GfmDevice:
     """Grid-forming inverter bound to a network bus.
 
-    ``flavor`` selects the droop law ("droop_e" or "static").  An optional
-    PowerSharingState enables the secondary controller; its current offset
-    is mirrored in ``omega_ps`` for use inside the derivative evaluation.
+    The droop law (``offset``, ``slope``) and ``kind`` come from the
+    params class.  An enabled PowerSharingSpec adds the secondary
+    controller's offset as a third state, ``omega_ps' = k (gate (omega_5 -
+    omega_delta) - omega_ps)``: ``omega_5`` is the static-droop frequency
+    deviation and ``omega_delta`` the law's own.  With the gate open the
+    offset decays to, and from a release stays at, exactly zero.
     """
 
-    n_states = 2
-    state_symbols = GFM_STATE_SYMBOLS
     input_symbols = ("p_set",)
 
-    def __init__(self, name: str, bus: int, params, flavor: str = "droop_e",
-                 sharing: PowerSharingState | None = None):
-        if flavor not in ("droop_e", "static"):
-            raise ValueError(f"unknown GFM flavor {flavor!r}")
+    def __init__(self, name: str, bus: int, params,
+                 sharing: PowerSharingSpec | None = None):
         self.name = name
         self.bus = bus
         self.params = params
-        self.flavor = flavor
-        self.sharing = sharing
-        self.omega_ps = 0.0
+        self.sharing = sharing if sharing and sharing.enabled else None
+        self.n_states = 2 if self.sharing is None else 3
+        self.state_symbols = GFM_STATE_SYMBOLS[:self.n_states]
+        self.gate_closed = False
+        self.p_ref = None      # filtered power when the gate was first checked
 
     @property
     def kind(self) -> str:
-        return "gfm_" + self.flavor
+        return self.params.kind
 
     @property
     def rating_mva(self) -> float:
@@ -524,24 +471,21 @@ class GfmDevice:
     def p_set(self, value: float) -> None:
         self.params.p_set = value
 
-    def droop_offset(self, p_m):
-        if self.flavor == "droop_e":
-            return droop_e_offset(self.params.p_set, p_m, self.params.alpha,
-                                  self.params.beta, self.params.omega_b)
-        return static_droop_offset(self.params.p_set, p_m, self.params.droop,
-                                   self.params.omega_b)
-
-    def droop_slope(self, p):
-        """Local droop (pu frequency per pu power) of the law at power ``p``."""
-        if self.flavor == "droop_e":
-            return droop_e_slope(p, self.params.alpha, self.params.beta)
-        return self.params.droop
-
     def derivatives(self, xs, v_mag, theta, i_d, i_q, omega_frame):
-        fn = (gfm_droop_e_derivatives if self.flavor == "droop_e"
-              else gfm_static_droop_derivatives)
-        return fn(xs, v_mag, theta, i_d, i_q, self.params,
-                  omega_ps=self.omega_ps, omega_frame=omega_frame)
+        """State derivatives (delta, p_m[, omega_ps])."""
+        pr = self.params
+        delta, p_m = xs[0], xs[1]
+        v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
+        omega_delta = pr.offset(p_m)
+        d_delta = omega_delta + pr.omega_set - omega_frame
+        d_p = (v_d * i_d + v_q * i_q - p_m) / pr.t_fil
+        if self.sharing is None:
+            return np.array([d_delta, d_p])
+        ps, omega_ps = self.sharing, xs[2]
+        error = 0.0
+        if self.gate_closed:
+            error = pr.omega_b * ps.d_static * (pr.p_set - p_m) - omega_delta
+        return np.array([d_delta + omega_ps, d_p, ps.k * (error - omega_ps)])
 
     def stator_residual(self, xs, v_mag, theta, i_d, i_q):
         return gfm_stator_residual(xs, v_mag, theta, i_d, i_q, self.params)
@@ -549,40 +493,40 @@ class GfmDevice:
     def partials(self, xs, v_mag, theta, i_d, i_q):
         """Local Jacobian ``(jac, jac_u)``; see SgDevice."""
         pr = self.params
-        jac = np.zeros((4, 6))
-        # columns: delta p_m | theta v i_d i_q
-        jac[0, 1] = -pr.omega_b * self.droop_slope(xs[1])
+        n = self.n_states
+        jac = np.zeros((n + 2, n + 4))
+        # columns: delta p_m [omega_ps] | theta v i_d i_q
+        jac[0, 1] = -pr.omega_b * pr.slope(xs[1])
         angle = xs[0] - theta
         s, c = math.sin(angle), math.cos(angle)
         dp_dangle = v_mag * (c * i_d - s * i_q) / pr.t_fil
-        jac[1] = (dp_dangle, -1.0 / pr.t_fil, -dp_dangle,
-                  (s * i_d + c * i_q) / pr.t_fil, v_mag * s / pr.t_fil,
-                  v_mag * c / pr.t_fil)
-        _coupling_partials(jac, 2, v_mag, angle, i_d, i_q, pr.r_gfm, pr.x_gfm)
-        jac_u = np.zeros((4, 1))
-        jac_u[0, 0] = pr.omega_b * self.droop_slope(pr.p_set)
+        jac[1, :2] = dp_dangle, -1.0 / pr.t_fil
+        jac[1, n:] = (-dp_dangle, (s * i_d + c * i_q) / pr.t_fil,
+                      v_mag * s / pr.t_fil, v_mag * c / pr.t_fil)
+        _coupling_partials(jac, n, v_mag, angle, i_d, i_q, pr.r_gfm, pr.x_gfm)
+        jac_u = np.zeros((n + 2, 1))
+        jac_u[0, 0] = pr.omega_b * pr.slope(pr.p_set)
+        if self.sharing is not None:
+            k, d_static = self.sharing.k, self.sharing.d_static
+            jac[0, 2], jac[2, 2] = 1.0, -k
+            if self.gate_closed:
+                jac[2, 1] = k * pr.omega_b * (pr.slope(xs[1]) - d_static)
+                jac_u[2, 0] = k * pr.omega_b * (d_static - pr.slope(pr.p_set))
         return jac, jac_u
 
     def initialize(self, v_ph: complex, s_dev: complex) -> np.ndarray:
         state, e_d, e_q = gfm_init_from_terminal(v_ph, s_dev, self.params)
         self.params.e_d = e_d
         self.params.e_q = e_q
-        self.omega_ps = 0.0
-        if self.sharing is not None:
-            self.sharing = replace(self.sharing, omega_ps=0.0, gate=Gate.OPEN,
-                                   p_ref=None)
-        return state
+        self.gate_closed = False
+        self.p_ref = None
+        return state if self.sharing is None else np.append(state, 0.0)
 
-    def frequency_deviation(self, xs, omega_nominal: float, omega_ps=None):
-        """Device frequency minus nominal, rad/s, per sample of ``xs``.
-
-        ``omega_ps`` is the power-sharing offset at those samples; it
-        defaults to the present offset.
-        """
-        if omega_ps is None:
-            omega_ps = self.omega_ps
-        return (self.droop_offset(xs.T[1]) + self.params.omega_set
-                - omega_nominal + omega_ps)
+    def frequency_deviation(self, xs, omega_nominal: float):
+        """Device frequency minus nominal, rad/s, per sample of ``xs``."""
+        pr = self.params
+        dev = pr.offset(xs.T[1]) + pr.omega_set - omega_nominal
+        return dev if self.sharing is None else dev + xs.T[2]
 
     def output_power(self, xs, v_mag, theta, i_d, i_q):
         """Filtered power measurement (device pu).
@@ -594,17 +538,25 @@ class GfmDevice:
         """
         return xs.T[1]
 
-    def update_power_sharing(self, xs, v_mag, theta, i_d, i_q, dt):
-        """Per-step secondary controller update; no-op when disabled."""
-        if self.sharing is None:
-            return
+    def update_power_sharing(self, xs, v_mag, theta, i_d, i_q) -> bool:
+        """Check the power-sharing gate at an accepted step.
+
+        The first check captures the pre-disturbance filtered power
+        ``p_ref``.  The gate closes once the filtered power has moved more
+        than ``eps_p`` from it and settled (``|dp/dt| < eps_dp``), and then
+        stays closed.  Returns whether it has just closed; the derivative
+        and its partials change with it.
+        """
+        if self.sharing is None or self.gate_closed:
+            return False
         p_m = xs[1]
+        if self.p_ref is None:
+            self.p_ref = p_m
         p_meas = terminal_power(xs, v_mag, theta, i_d, i_q)
         dp_dt = (p_meas - p_m) / self.params.t_fil
-        omega_delta = float(self.droop_offset(p_m))
-        self.sharing, self.omega_ps = power_sharing_update(
-            self.sharing, self.params.p_set, p_m, dp_dt, omega_delta,
-            self.params.omega_b, dt)
+        self.gate_closed = bool(abs(p_m - self.p_ref) > self.sharing.eps_p
+                                and abs(dp_dt) < self.sharing.eps_dp)
+        return self.gate_closed
 
     def emf_interface(self, xs):
         return device_emf_interface(xs, self.params)

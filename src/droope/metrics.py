@@ -162,45 +162,46 @@ def headroom_csv(rows: list[HeadroomRow]) -> str:
     return "\n".join(out) + "\n"
 
 
-def case_stats_markdown(rows: list[tuple[str, FrequencyStats]],
-                        source: str) -> str:
-    """Load-step statistics table (one row per case)."""
-    lines = [f"Frequency statistics from the {source} frequency.", "",
-             "| Case | Nadir (Hz) | ROCOF (Hz/s) | Settling (Hz) |",
-             "|---|---|---|---|"]
-    for name, st in rows:
-        lines.append(f"| {name} | {st.nadir:.2f} | {st.peak_rocof:.2f} "
-                     f"| {st.settling:.2f} |")
-    return "\n".join(lines) + "\n"
+def _case_values(case: str, st: FrequencyStats, inertia_s: float) -> dict:
+    """One table row by CSV column name."""
+    return {"case": case, "nadir_hz": st.nadir, "nadir_time_s": st.nadir_time,
+            "peak_rocof_hz_per_s": st.peak_rocof, "settling_hz": st.settling,
+            "window_s": st.window, "inertia_s": round(inertia_s, 1)}
 
 
-def case_stats_csv(rows: list[tuple[str, FrequencyStats]], source: str) -> str:
-    out = ["case,nadir_hz,nadir_time_s,peak_rocof_hz_per_s,settling_hz,"
-           "window_s,source"]
-    for name, st in rows:
-        out.append(",".join([
-            name, repr(st.nadir), repr(st.nadir_time), repr(st.peak_rocof),
-            repr(st.settling), repr(st.window), source]))
-    return "\n".join(out) + "\n"
+# markdown header and number format of the columns a markdown table shows
+_MARKDOWN_COLUMNS = {
+    "case": ("Case", ""), "nadir_hz": ("Nadir (Hz)", ".2f"),
+    "peak_rocof_hz_per_s": ("ROCOF (Hz/s)", ".2f"),
+    "settling_hz": ("Settling (Hz)", ".2f"), "inertia_s": ("Inertia (s)", ".1f"),
+}
+
+# (markdown columns, CSV columns) of the report's statistics tables
+TABLE_V = (("case", "nadir_hz", "peak_rocof_hz_per_s", "settling_hz"),
+           ("case", "nadir_hz", "nadir_time_s", "peak_rocof_hz_per_s",
+            "settling_hz", "window_s"))
+TABLE_VII = (("case", "nadir_hz", "peak_rocof_hz_per_s", "inertia_s"),
+             ("case", "nadir_hz", "peak_rocof_hz_per_s", "settling_hz",
+              "inertia_s"))
 
 
-def multi_case_markdown(rows: list[tuple[str, FrequencyStats, float]],
-                        source: str) -> str:
-    """Per-case statistics plus aggregate inertia (one decimal)."""
-    lines = [f"Frequency statistics from the {source} frequency.", "",
-             "| Case | Nadir (Hz) | ROCOF (Hz/s) | Inertia (s) |",
-             "|---|---|---|---|"]
-    for name, st, h in rows:
-        lines.append(f"| {name} | {st.nadir:.2f} | {st.peak_rocof:.2f} "
-                     f"| {h:.1f} |")
-    return "\n".join(lines) + "\n"
+def case_table(rows: list[tuple[str, FrequencyStats, float]], source: str,
+               layout) -> tuple[str, str]:
+    """Markdown and CSV text of a per-case statistics table.
 
-
-def multi_case_csv(rows: list[tuple[str, FrequencyStats, float]],
-                   source: str) -> str:
-    out = ["case,nadir_hz,peak_rocof_hz_per_s,settling_hz,inertia_s,source"]
-    for name, st, h in rows:
-        out.append(",".join([
-            name, repr(st.nadir), repr(st.peak_rocof), repr(st.settling),
-            repr(round(h, 1)), source]))
-    return "\n".join(out) + "\n"
+    ``rows`` holds ``(case, FrequencyStats, inertia_s)`` and ``layout`` is
+    ``(markdown columns, CSV columns)``, e.g. ``TABLE_V``.  The CSV writes
+    every number as its ``repr`` and ends each row with ``source``.
+    """
+    md_cols, csv_cols = layout
+    md = [f"Frequency statistics from the {source} frequency.", "",
+          "| " + " | ".join(_MARKDOWN_COLUMNS[c][0] for c in md_cols) + " |",
+          "|" + "---|" * len(md_cols)]
+    csv = [",".join(csv_cols + ("source",))]
+    for row in rows:
+        vals = _case_values(*row)
+        md.append("| " + " | ".join(format(vals[c], _MARKDOWN_COLUMNS[c][1])
+                                    for c in md_cols) + " |")
+        csv.append(",".join([vals[c] if c == "case" else repr(vals[c])
+                             for c in csv_cols] + [source]))
+    return "\n".join(md) + "\n", "\n".join(csv) + "\n"

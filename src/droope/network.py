@@ -10,7 +10,7 @@ P, Q at their bus.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -73,15 +73,11 @@ class ConstantPowerLoad:
 @dataclass(frozen=True)
 class PerUnitBases:
     system_mva: float
-    device_mva: dict[str, float] = field(default_factory=dict)
     base_rad_per_s: float = 377.0
 
     def __post_init__(self):
         if self.system_mva <= 0 or self.base_rad_per_s <= 0:
             raise ScenarioError("per-unit bases must be > 0")
-        for name, mva in self.device_mva.items():
-            if mva <= 0:
-                raise ScenarioError(f"device base for {name!r} must be > 0")
 
 
 @dataclass(frozen=True)

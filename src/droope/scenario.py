@@ -26,24 +26,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
-                      PowerSharingState, SgDevice, SgParams)
+                      PowerSharingSpec, SgDevice, SgParams)
 from .errors import ScenarioError
 from .network import (Branch, Bus, BusKind, ConstantPowerLoad, NetworkModel,
                       PerUnitBases)
 from .system import PowerSystemDae
 from .timedomain import Event
 
-DEVICE_KINDS = ("sg", "gfm_droop_e", "gfm_static")
+# device kind -> its parameter class
+_PARAM_CLASSES = {"sg": SgParams, GfmDroopEParams.kind: GfmDroopEParams,
+                 GfmStaticParams.kind: GfmStaticParams}
 GEN_BUS_KINDS = (BusKind.SLACK, BusKind.PV, BusKind.DEVICE)
-
-
-@dataclass(frozen=True)
-class PowerSharingSpec:
-    enabled: bool = False
-    k: float = 0.3
-    eps_p: float = 0.01
-    eps_dp: float = 0.001
-    d_static: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ class Scenario:
         seen_buses = set()
         for i, d in enumerate(self.devices):
             where = f"devices[{i}] ({d.name})"
-            if d.kind not in DEVICE_KINDS:
+            if d.kind not in _PARAM_CLASSES:
                 raise ScenarioError(f"{where}: unknown kind {d.kind!r}")
             try:
                 b = self.network.buses[self.network.bus_index(d.bus)]
@@ -105,12 +98,9 @@ class Scenario:
                         f"power flow; p_set must be null")
             elif d.p_set is None:
                 raise ScenarioError(f"{where}: non-slack device needs p_set")
-            if d.kind == "sg" and not isinstance(d.params, SgParams):
-                raise ScenarioError(f"{where}: sg device needs sg params")
-            if d.kind == "gfm_droop_e" and not isinstance(d.params, GfmDroopEParams):
-                raise ScenarioError(f"{where}: droop-e device needs droop-e params")
-            if d.kind == "gfm_static" and not isinstance(d.params, GfmStaticParams):
-                raise ScenarioError(f"{where}: static device needs static params")
+            if not isinstance(d.params, _PARAM_CLASSES[d.kind]):
+                raise ScenarioError(f"{where}: {d.kind} device needs "
+                                    f"{_PARAM_CLASSES[d.kind].__name__}")
         gen_buses = {b.id for b in self.network.buses if b.kind in GEN_BUS_KINDS}
         if gen_buses - seen_buses:
             raise ScenarioError(
@@ -138,15 +128,7 @@ class Scenario:
             else:
                 params = replace(d.params, omega_b=omega, omega_set=omega,
                                  p_set=0.0 if d.p_set is None else d.p_set)
-                sharing = None
-                if d.power_sharing.enabled:
-                    ps = d.power_sharing
-                    sharing = PowerSharingState(
-                        k=ps.k, eps_p=ps.eps_p, eps_dp=ps.eps_dp,
-                        d_static=ps.d_static)
-                flavor = "droop_e" if d.kind == "gfm_droop_e" else "static"
-                devs.append(GfmDevice(d.name, d.bus, params, flavor=flavor,
-                                      sharing=sharing))
+                devs.append(GfmDevice(d.name, d.bus, params, d.power_sharing))
         return PowerSystemDae(self.network, devs, f_nominal_hz=self.f_nominal_hz)
 
     def dispatch_map(self) -> dict[int, float]:
@@ -246,10 +228,6 @@ def _params_from_dict(cls, d: dict, where: str):
         raise ScenarioError(f"{where}: {exc}")
 
 
-_PARAM_CLASSES = {"sg": SgParams, "gfm_droop_e": GfmDroopEParams,
-                  "gfm_static": GfmStaticParams}
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     _check_keys(data, "scenario",
                 required=("name", "base", "buses", "branches", "loads",
@@ -296,7 +274,6 @@ def scenario_from_dict(data: dict) -> Scenario:
                                        q=_number(ld, "q", where)))
 
     devices = []
-    ratings = {}
     for i, d in enumerate(data["devices"]):
         where = f"devices[{i}]"
         _check_keys(d, where, ("name", "bus", "kind"),
@@ -322,7 +299,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         devices.append(DeviceSpec(name=str(d["name"]), bus=int(d["bus"]),
                                   kind=kind, params=params, p_set=p_set,
                                   power_sharing=sharing))
-        ratings[str(d["name"])] = params.rating_mva
 
     events = []
     for i, ev in enumerate(data.get("events", [])):
@@ -347,7 +323,6 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     bases = PerUnitBases(
         system_mva=_number(base, "system_mva", "base"),
-        device_mva=ratings,
         base_rad_per_s=_number(base, "omega_rad_per_s", "base", default=377.0))
     try:
         network = NetworkModel(buses=tuple(buses), branches=tuple(branches),
@@ -418,9 +393,7 @@ def _three_bus(name: str, gfm_p_set: float, events: tuple[Event, ...],
             Branch(from_bus=2, to_bus=3, reactance=0.05),
         ),
         loads=(ConstantPowerLoad(bus=2, p=0.75, q=-0.25),),
-        bases=PerUnitBases(system_mva=100.0,
-                           device_mva={"sg1": 100.0, "gfm3": 50.0},
-                           base_rad_per_s=377.0))
+        bases=PerUnitBases(system_mva=100.0, base_rad_per_s=377.0))
     devices = (
         DeviceSpec(name="sg1", bus=1, kind="sg",
                    params=SgParams(rating_mva=100.0)),
@@ -504,9 +477,7 @@ def _nine_bus(name: str, gen_kinds: tuple[str, str, str],
         devices.append(spec)
     network = NetworkModel(
         buses=buses, branches=branches, loads=loads,
-        bases=PerUnitBases(system_mva=100.0,
-                           device_mva={d.name: 200.0 for d in devices},
-                           base_rad_per_s=377.0))
+        bases=PerUnitBases(system_mva=100.0, base_rad_per_s=377.0))
     events = (Event(t=1.0, kind="load_step", bus=6, dp=0.315, dq=0.115),)
     return Scenario(name=name, network=network, devices=tuple(devices),
                     events=events,

@@ -27,6 +27,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import DroopeError, NumericError, PowerFlowError
 from .network import solve_power_flow
 from .system import PowerSystemDae
+from .timedomain import release_dynamics
 
 log = logging.getLogger(__name__)
 
@@ -218,7 +219,6 @@ def modal_point(scenario, p_set: float) -> ModalResult:
     scen = scenario.with_gfm_dispatch(p_set)
     dae = scen.build_dae()
     pf = solve_power_flow(scen.network, scen.dispatch_map())
-    from .timedomain import release_dynamics  # local import; no cycle at module load
     state = release_dynamics(dae, pf)
     lin = linearize(dae, state.x, state.y, with_inputs=False)
     return eigen_decompose(lin.a_sys, state_labels=lin.state_labels,

@@ -230,20 +230,12 @@ class PowerSystemDae:
         return (x[..., off:off + self.devices[k].n_states], y[..., n + b],
                 y[..., b], y[..., 2 * n + 2 * k], y[..., 2 * n + 2 * k + 1])
 
-    def device_frequencies_hz(self, x, omega_ps=None) -> np.ndarray:
-        """Device frequencies in Hz, one column per device.
-
-        ``omega_ps`` maps a device index to its power-sharing offsets
-        (rad/s) at the samples of ``x``; other devices use their present
-        offset.
-        """
-        omega_ps = {} if omega_ps is None else omega_ps
+    def device_frequencies_hz(self, x) -> np.ndarray:
+        """Device frequencies in Hz, one column per device."""
         omega_n = self.network.bases.base_rad_per_s
         dev = np.stack([
-            dev.frequency_deviation(
-                x[..., off:off + dev.n_states], omega_n, omega_ps.get(k))
-            for k, (dev, off) in enumerate(zip(self.devices,
-                                               self.x_offsets))], axis=-1)
+            dev.frequency_deviation(x[..., off:off + dev.n_states], omega_n)
+            for dev, off in zip(self.devices, self.x_offsets)], axis=-1)
         return self.f_nominal_hz + dev / (2.0 * math.pi)
 
     def device_powers(self, x, y):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .devices import Gate, GfmDevice
+from .devices import GfmDevice
 from .errors import InitializationError, ScenarioError, StepError
 from .network import PowerFlowSolution, solve_power_flow
 from .system import (PowerSystemDae, SystemState, find_equilibrium,
@@ -134,7 +134,7 @@ class TrapezoidalStepper:
     The derivative ``f(x1, y1)`` evaluated at a converged Newton iterate is
     kept and reused as ``f0`` when the next step starts from exactly that
     state (matched by identity, so returned states must not be mutated).
-    ``params_changed()`` drops it when a device parameter that ``f`` reads
+    ``mark_stale()`` drops it along with the Jacobian whenever the model
     changes between steps.
     """
 
@@ -153,9 +153,6 @@ class TrapezoidalStepper:
     def mark_stale(self) -> None:
         self._stale = True
         self._history = None
-        self._f_end = None
-
-    def params_changed(self) -> None:
         self._f_end = None
 
     def _refresh_jacobian(self, x, y, dt) -> None:
@@ -333,7 +330,7 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
     sharing = [k for k, dev in enumerate(dae.devices)
                if isinstance(dev, GfmDevice) and dev.sharing is not None]
     stepper = TrapezoidalStepper(dae, dt)
-    recorder = _TraceRecorder(tr, dae, sharing)
+    recorder = _TraceRecorder(tr, dae)
     recorder.add(state)
     for k in range(n_steps):
         for ev in pending.get(k, ()):
@@ -343,8 +340,8 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
                 stepper.mark_stale()
             event_log.append(ev)
         state = stepper.step(state)
-        if _update_sharing(dae, sharing, state, dt, event_log):
-            stepper.params_changed()
+        if _update_sharing(dae, sharing, state, event_log):
+            stepper.mark_stale()
         recorder.add(state)
     recorder.flush()
     event_log.sort(key=lambda ev: ev.t)
@@ -353,44 +350,37 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
 
 
 def _update_sharing(dae: PowerSystemDae, sharing: list[int],
-                    state: SystemState, dt: float,
-                    event_log: list[Event]) -> bool:
-    """Advance the power-sharing controllers of the devices with indices
-    ``sharing`` by one accepted step.
+                    state: SystemState, event_log: list[Event]) -> bool:
+    """Check the power-sharing gates of the devices with indices
+    ``sharing`` at an accepted step, logging each gate that closes.
 
-    Returns whether any device's offset, which ``f`` reads, changed.
+    Returns whether any gate closed, which changes ``f`` and its Jacobian.
     """
     theta, v, idq = dae.split_y(state.y)
-    changed = False
+    closed = False
     for k in sharing:
         dev = dae.devices[k]
-        was, omega_ps = dev.sharing.gate, dev.omega_ps
         b = dae.dev_bus[k]
-        dev.update_power_sharing(dae.device_state(state.x, k), v[b], theta[b],
-                                 idq[2 * k], idq[2 * k + 1], dt)
-        changed = changed or dev.omega_ps != omega_ps
-        if was is Gate.OPEN and dev.sharing.gate is Gate.CLOSED:
+        if dev.update_power_sharing(dae.device_state(state.x, k), v[b],
+                                    theta[b], idq[2 * k], idq[2 * k + 1]):
             event_log.append(
                 Event(t=state.t, kind="gate_armed", device=dev.name))
-    return changed
+            closed = True
+    return closed
 
 
 class _TraceRecorder:
     """Fills a trace from accepted states, observed a block at a time.
 
-    Holds at most ``_OBSERVE_ROWS`` states.  Each state's power-sharing
-    offsets are copied with it, because a device holds only its present
-    one; the load is not, so ``flush`` must run before the load changes.
+    Holds at most ``_OBSERVE_ROWS`` states.  The load is not copied with
+    them, so ``flush`` must run before the load changes.
     """
 
-    def __init__(self, tr: SimulationTrace, dae: PowerSystemDae,
-                 sharing: list[int]):
+    def __init__(self, tr: SimulationTrace, dae: PowerSystemDae):
         self.tr = tr
         self.dae = dae
-        self.sharing = sharing
         self.x = np.empty((_OBSERVE_ROWS, dae.n_x))
         self.y = np.empty((_OBSERVE_ROWS, dae.n_y))
-        self.omega_ps = np.empty((_OBSERVE_ROWS, len(sharing)))
         self.start = 0     # trace row of the first buffered state
         self.rows = 0
 
@@ -398,8 +388,6 @@ class _TraceRecorder:
         i = self.rows
         self.x[i] = state.x
         self.y[i] = state.y
-        for j, k in enumerate(self.sharing):
-            self.omega_ps[i, j] = self.dae.devices[k].omega_ps
         self.rows = i + 1
         if self.rows == _OBSERVE_ROWS:
             self.flush()
@@ -411,9 +399,7 @@ class _TraceRecorder:
         dae, tr = self.dae, self.tr
         x, y = self.x[:m], self.y[:m]
         rows = slice(self.start, self.start + m)
-        omega_ps = {k: self.omega_ps[:m, j]
-                    for j, k in enumerate(self.sharing)}
-        tr.freq_hz[rows] = dae.device_frequencies_hz(x, omega_ps)
+        tr.freq_hz[rows] = dae.device_frequencies_hz(x)
         tr.p_dev[rows], tr.p_sys[rows] = dae.device_powers(x, y)
         tr.theta[rows] = y[:, :dae.n_bus]
         tr.v[rows] = y[:, dae.n_bus:2 * dae.n_bus]

@@ -128,6 +128,14 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="events"):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize("rating", [0.0, -100.0])
+    def test_non_positive_rating_labelled(self, rating):
+        d = self._minimal()
+        d["devices"][0]["params"] = {"rating_mva": rating}
+        with pytest.raises(ScenarioError,
+                           match=r"devices\[0\].params: .*rating_mva"):
+            scenario_from_dict(d)
+
     def test_unknown_source_rejected(self):
         with pytest.raises(ScenarioError, match="neither a built-in"):
             load_scenario("no-such-scenario")

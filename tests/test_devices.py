@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from droope.devices import (Gate, GfmDroopEParams, GfmStaticParams,
-                            PowerSharingState, SgParams, device_emf_interface,
+from droope.devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
+                            PowerSharingSpec, SgParams, device_emf_interface,
                             dq_to_network, droop_e_offset, droop_e_slope,
-                            gfm_droop_e_derivatives, gfm_init_from_terminal,
-                            gfm_static_droop_derivatives, gfm_stator_residual,
-                            network_to_dq, power_sharing_update,
-                            sg_derivatives, sg_init_from_terminal,
-                            sg_stator_residual, solve_field_voltage,
-                            static_droop_offset)
+                            gfm_init_from_terminal, gfm_stator_residual,
+                            network_to_dq, sg_derivatives,
+                            sg_init_from_terminal, sg_stator_residual,
+                            solve_field_voltage, static_droop_offset)
 
 W_B = 377.0
+
+
+def gfm_derivatives(params, state, i_d, i_q, omega_frame, sharing=None,
+                    gate_closed=False):
+    """Derivatives of an inverter at a unit terminal voltage at angle 0."""
+    dev = GfmDevice("g", 1, params, sharing)
+    dev.gate_closed = gate_closed
+    return dev.derivatives(np.asarray(state), 1.0, 0.0, i_d, i_q, omega_frame)
 
 
 class TestDroopELaw:
@@ -69,9 +75,8 @@ class TestStaticDroop:
 
     def test_zero_gain_is_feasible(self):
         st = np.array([0.3, 0.6])
-        d = gfm_static_droop_derivatives(
-            st, 1.0, 0.0, 0.1, 0.1,
-            GfmStaticParams(droop=0.0, p_set=0.1), omega_frame=0.0)
+        d = gfm_derivatives(GfmStaticParams(droop=0.0, p_set=0.1), st, 0.1,
+                            0.1, omega_frame=0.0)
         assert d[0] == pytest.approx(W_B)
 
     def test_small_gain(self):
@@ -135,16 +140,15 @@ class TestGfmModel:
         params = GfmDroopEParams(p_set=0.2)
         # delta = pi/2, theta = 0 puts all power on the d axis
         state = np.array([0.5 * math.pi, 0.2])
-        d = gfm_droop_e_derivatives(state, 1.0, 0.0, 0.2, 0.0, params,
-                                    omega_frame=0.0)
+        d = gfm_derivatives(params, state, 0.2, 0.0, omega_frame=0.0)
         assert d[0] == pytest.approx(params.omega_set)
         assert d[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_filter_response(self):
         params = GfmDroopEParams(p_set=0.2)
         state = np.array([0.5 * math.pi, 0.2])
-        d = gfm_droop_e_derivatives(state, 1.0, 0.0, 0.3, 0.0, params,
-                                    omega_frame=params.omega_set)
+        d = gfm_derivatives(params, state, 0.3, 0.0,
+                            omega_frame=params.omega_set)
         assert d[1] == pytest.approx(0.1 / 0.0167, rel=1e-9)
         assert d[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -187,49 +191,87 @@ class TestEmfInterface:
 
 
 class TestPowerSharing:
+    """The gate, checked at step boundaries, and the omega_ps state row.
+
+    At ``delta = pi/2`` on a unit terminal voltage at angle 0 the terminal
+    power is ``i_d``, so ``dp/dt = (i_d - p_m) / t_fil``.
+    """
+
+    SPEC = PowerSharingSpec(enabled=True)
+
+    def sharing_device(self):
+        return GfmDevice("g", 1, GfmDroopEParams(p_set=0.2), self.SPEC)
+
+    @staticmethod
+    def check(dev, p_m, dp_dt):
+        i_d = p_m + dp_dt * dev.params.t_fil
+        return dev.update_power_sharing(np.array([0.5 * math.pi, p_m, 0.0]),
+                                        1.0, 0.0, i_d, 0.0)
+
     def test_quiescent_gate_stays_open(self):
-        ps = PowerSharingState()
-        for _ in range(10):
-            ps, offset = power_sharing_update(ps, 0.2, 0.2, 0.0, 0.0, W_B,
-                                              1e-3)
-        assert ps.gate is Gate.OPEN
-        assert offset == 0.0
-        assert ps.p_ref == 0.2
+        dev = self.sharing_device()
+        assert dev.n_states == 3
+        assert not any(self.check(dev, 0.2, 0.0) for _ in range(10))
+        assert not dev.gate_closed
+        assert dev.p_ref == 0.2
+        # the open gate leaves only the decay, which holds omega_ps at 0
+        d = gfm_derivatives(dev.params, [0.5 * math.pi, 0.2, 0.0], 0.2, 0.0,
+                            W_B, self.SPEC)
+        assert d[2] == 0.0
+        d = gfm_derivatives(dev.params, [0.5 * math.pi, 0.2, 0.5], 0.2, 0.0,
+                            W_B, self.SPEC)
+        assert d[2] == pytest.approx(-0.3 * 0.5, rel=1e-15)
+        assert d[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_closed_gate_integrates_error(self):
-        ps = PowerSharingState(gate=Gate.CLOSED, p_ref=0.2)
-        dt = 1e-3
-        # quarter-pu pickup at 5% droop is -4.7125 rad/s
-        ps, offset = power_sharing_update(ps, 0.2, 0.45, 0.0, -6.0, W_B, dt)
-        omega_e = (-4.7125) - (-6.0)
-        assert omega_e == pytest.approx(1.2875)
-        assert offset == pytest.approx(dt * 0.3 * omega_e, rel=1e-12)
+        state = [0.5 * math.pi, 0.45, 0.5]
+        d = gfm_derivatives(GfmDroopEParams(p_set=0.2), state, 0.45, 0.0, W_B,
+                            self.SPEC, gate_closed=True)
+        # a quarter-pu pickup on the 5 % static droop is -4.7125 rad/s
+        omega_5 = W_B * 0.05 * (0.2 - 0.45)
+        assert omega_5 == pytest.approx(-4.7125)
+        omega_delta = droop_e_offset(0.2, 0.45, 0.002, 3.0, W_B)
+        assert d[2] == pytest.approx(0.3 * (omega_5 - omega_delta - 0.5),
+                                     rel=1e-12)
+        assert d[0] == pytest.approx(omega_delta + 0.5, rel=1e-12)
 
     def test_gate_closes_only_when_settled(self):
-        ps = PowerSharingState()
-        ps, _ = power_sharing_update(ps, 0.2, 0.2, 0.0, 0.0, W_B, 1e-3)
+        dev = self.sharing_device()
+        assert not self.check(dev, 0.2, 0.0)
         # big power move but still in transient: stays open
-        ps, _ = power_sharing_update(ps, 0.2, 0.3, 0.5, -1.0, W_B, 1e-3)
-        assert ps.gate is Gate.OPEN
-        # transient settled: closes and starts integrating
-        ps, _ = power_sharing_update(ps, 0.2, 0.3, 1e-5, -1.0, W_B, 1e-3)
-        assert ps.gate is Gate.CLOSED
+        assert not self.check(dev, 0.3, 0.5)
+        assert not dev.gate_closed
+        # transient settled: closes, reported once
+        assert self.check(dev, 0.3, 1e-5)
+        assert dev.gate_closed
 
     def test_gate_stays_closed(self):
-        ps = PowerSharingState(gate=Gate.CLOSED, p_ref=0.2)
-        ps, _ = power_sharing_update(ps, 0.2, 0.2, 0.0, 0.0, W_B, 1e-3)
-        assert ps.gate is Gate.CLOSED
+        dev = self.sharing_device()
+        self.check(dev, 0.2, 0.0)
+        assert self.check(dev, 0.3, 0.0)
+        # back at the pre-disturbance power: no second close, still closed
+        assert not self.check(dev, 0.2, 0.0)
+        assert dev.gate_closed
 
     def test_fixed_point_is_static_droop(self):
         # drive the integrator to convergence against a static plant
-        ps = PowerSharingState(gate=Gate.CLOSED, p_ref=0.2)
-        p_m = 0.45
-        for _ in range(200000):
-            omega_delta = droop_e_offset(0.2, p_m, 0.002, 3.0, W_B)
-            ps, offset = power_sharing_update(ps, 0.2, p_m, 0.0, omega_delta,
-                                              W_B, 1e-3)
-        total = droop_e_offset(0.2, p_m, 0.002, 3.0, W_B) + ps.omega_ps
+        params, p_m, dt = GfmDroopEParams(p_set=0.2), 0.45, 0.1
+        state = np.array([0.5 * math.pi, p_m, 0.0])
+        for _ in range(1000):
+            d = gfm_derivatives(params, state, p_m, 0.0, W_B, self.SPEC,
+                                gate_closed=True)
+            state[2] += dt * d[2]
+        # the device frequency deviation, d[0] in the nominal frame
+        total = droop_e_offset(0.2, p_m, 0.002, 3.0, W_B) + state[2]
         assert abs(total - W_B * 0.05 * (0.2 - p_m)) < 1e-6
+        assert d[0] == pytest.approx(total, rel=1e-12)
+
+    def test_disabled_spec_adds_no_state(self):
+        dev = GfmDevice("g", 1, GfmStaticParams(), PowerSharingSpec())
+        assert dev.sharing is None and dev.n_states == 2
+        assert dev.kind == "gfm_static"
+        assert not dev.update_power_sharing(np.array([0.0, 0.2]), 1.0, 0.0,
+                                            0.0, 0.0)
 
 
 class TestParamValidation:
@@ -244,3 +286,10 @@ class TestParamValidation:
     def test_negative_droop_rejected(self):
         with pytest.raises(ValueError):
             GfmStaticParams(droop=-0.01)
+
+    @pytest.mark.parametrize("cls", [SgParams, GfmDroopEParams,
+                                     GfmStaticParams])
+    @pytest.mark.parametrize("rating", [0.0, -50.0])
+    def test_non_positive_rating_rejected(self, cls, rating):
+        with pytest.raises(ValueError, match="rating_mva"):
+            cls(rating_mva=rating)

@@ -84,3 +84,59 @@ def test_physical_eigenvalues_match_oracle_path(name, p_set):
         if i == mr.reference_index:
             continue
         assert abs(got[i] - want[j]) < 1e-8 * abs(want[j]), (got[i], want[j])
+
+
+def sharing_devices(dae):
+    return [dev for dev in dae.devices if getattr(dev, "sharing", None)]
+
+
+@pytest.mark.parametrize("name", ["3bus-sharing", "9bus-caseC"])
+def test_closed_gate_blocks(name):
+    """Past the closing of every gate, the omega_ps rows carry the
+    static-droop error, against p_m and against the p_set input."""
+    scen, dae, _ = released(name)
+    for ev in scen.events:
+        dae.apply_load_step(ev.bus, ev.dp, ev.dq)
+    tr = run_case(scen, t_end=1.8)
+    sharing = sharing_devices(dae)
+    armed = {ev.device for ev in tr.events if ev.kind == "gate_armed"}
+    assert sharing and armed == {dev.name for dev in sharing}
+    for dev in sharing:
+        dev.gate_closed = True
+    x, y = tr.final_state.x, tr.final_state.y
+    rows = [i for i, lbl in enumerate(dae.x_labels)
+            if lbl.endswith(".omega_ps")]
+    assert np.all(np.abs(x[rows]) > 1e-3)   # the offsets have moved
+    oracle, oracle_u = assert_matches_oracle(dae, x, y)
+    jac, jac_u = dae.jacobian(x, y), dae.input_jacobian(x, y)
+    for i, dev in zip(rows, sharing):
+        p_m = dae.x_labels.index(f"{dev.name}.p_m")
+        p_set = dae.input_labels.index(f"{dev.name}.p_set")
+        assert jac[i, p_m] != 0.0 and jac_u[i, p_set] != 0.0
+        assert relative_error(jac[i, :dae.n_x], oracle["f_x"][i]) < 1e-9
+        assert relative_error(jac_u[i], oracle_u[i]) < 1e-9
+
+
+def test_sharing_states_add_two_modes_at_minus_k():
+    """With the gates open, each omega_ps state only decays at -k: the
+    spectrum is that of the model without them plus two modes at -k."""
+    scen, dae, state = released("9bus-caseC")
+    k = {dev.sharing.k for dev in sharing_devices(dae)}
+    assert len(k) == 1
+    k = k.pop()
+    lin = linearize(dae, state.x, state.y, with_inputs=False)
+    mr = eigen_decompose(lin.a_sys, state_labels=lin.state_labels)
+    keep = [i for i, lbl in enumerate(lin.state_labels)
+            if not lbl.endswith(".omega_ps")]
+    assert len(keep) == len(lin.state_labels) - 2
+    want = np.linalg.eigvals(lin.a_sys[np.ix_(keep, keep)])
+
+    at_k = [i for i, lam in enumerate(mr.eigenvalues) if abs(lam + k) < 1e-12]
+    assert len(at_k) == 2 and mr.reference_index not in at_k
+    for i in at_k:
+        assert mr.top_states(i, 1)[0].endswith(".omega_ps")
+    got = np.delete(mr.eigenvalues, at_k)
+    rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert len(rows) == len(want)
+    for i, j in zip(rows, cols):
+        assert abs(got[i] - want[j]) < 1e-9 * max(1.0, abs(want[j]))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from droope.devices import droop_e_offset
-from droope.metrics import (aggregate_inertia, compute_frequency_stats,
-                            headroom_csv, headroom_markdown, headroom_table,
-                            peak_rocof, weighted_frequency)
+from droope.metrics import (TABLE_V, TABLE_VII, FrequencyStats,
+                            aggregate_inertia, case_table,
+                            compute_frequency_stats, headroom_csv,
+                            headroom_markdown, headroom_table, peak_rocof,
+                            weighted_frequency)
 
 
 class TestPeakRocof:
@@ -140,3 +142,52 @@ class TestFrequencyStats:
         t = np.arange(0, 1, 1e-3)
         with pytest.raises(ValueError):
             compute_frequency_stats(t, np.full_like(t, 60.0), 5.0, 0.1)
+
+
+class TestCaseTable:
+    """The report's Tables V and VII, pinned to the strings the earlier
+    per-table emitters wrote for the same rows."""
+
+    ROWS = [
+        ("3bus-caseA", FrequencyStats(nadir=59.934567891234, nadir_time=1.873,
+                                      peak_rocof=0.12345678901,
+                                      settling=59.95499999, window=0.1),
+         2.0066666666666664),
+        ("9bus-caseC", FrequencyStats(nadir=59.705,
+                                      nadir_time=2.5000000000000004,
+                                      peak_rocof=1.995, settling=59.8149,
+                                      window=0.25, settled_flat=False),
+         2.25),
+    ]
+
+    def test_table_v(self):
+        md, csv = case_table(self.ROWS, "synchronous-machine", TABLE_V)
+        assert md == (
+            "Frequency statistics from the synchronous-machine frequency.\n"
+            "\n"
+            "| Case | Nadir (Hz) | ROCOF (Hz/s) | Settling (Hz) |\n"
+            "|---|---|---|---|\n"
+            "| 3bus-caseA | 59.93 | 0.12 | 59.95 |\n"
+            "| 9bus-caseC | 59.70 | 2.00 | 59.81 |\n")
+        assert csv == (
+            "case,nadir_hz,nadir_time_s,peak_rocof_hz_per_s,settling_hz,"
+            "window_s,source\n"
+            "3bus-caseA,59.934567891234,1.873,0.12345678901,59.95499999,0.1,"
+            "synchronous-machine\n"
+            "9bus-caseC,59.705,2.5000000000000004,1.995,59.8149,0.25,"
+            "synchronous-machine\n")
+
+    def test_table_vii(self):
+        md, csv = case_table(self.ROWS, "rating-weighted", TABLE_VII)
+        assert md == (
+            "Frequency statistics from the rating-weighted frequency.\n"
+            "\n"
+            "| Case | Nadir (Hz) | ROCOF (Hz/s) | Inertia (s) |\n"
+            "|---|---|---|---|\n"
+            "| 3bus-caseA | 59.93 | 0.12 | 2.0 |\n"
+            "| 9bus-caseC | 59.70 | 2.00 | 2.2 |\n")
+        assert csv == (
+            "case,nadir_hz,peak_rocof_hz_per_s,settling_hz,inertia_s,source\n"
+            "3bus-caseA,59.934567891234,0.12345678901,59.95499999,2.0,"
+            "rating-weighted\n"
+            "9bus-caseC,59.705,1.995,59.8149,2.2,rating-weighted\n")
