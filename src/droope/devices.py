@@ -101,10 +101,11 @@ class GfmDroopEParams:
         if not 0.0 <= self.p_set <= 1.0:
             raise ValueError("GfmDroopEParams.p_set must lie in [0, 1]")
 
-    def offset(self, p_m):
-        """Frequency offset (rad/s) of the law at filtered power ``p_m``."""
+    def offset(self, p_m, exp=np.exp):
+        """Frequency offset (rad/s) of the law at filtered power ``p_m``;
+        ``exp=math.exp`` evaluates one float faster."""
         return droop_e_offset(self.p_set, p_m, self.alpha, self.beta,
-                              self.omega_b)
+                              self.omega_b, exp)
 
     def slope(self, p):
         """Local droop (pu frequency per pu power) of the law at ``p``."""
@@ -131,8 +132,9 @@ class GfmStaticParams:
             raise ValueError(
                 "GfmStaticParams requires droop >= 0, t_fil, rating_mva > 0")
 
-    def offset(self, p_m):
-        """Frequency offset (rad/s) of the law at filtered power ``p_m``."""
+    def offset(self, p_m, exp=np.exp):
+        """Frequency offset (rad/s) of the law at filtered power ``p_m``;
+        the law is linear, so ``exp`` goes unused."""
         return static_droop_offset(self.p_set, p_m, self.droop, self.omega_b)
 
     def slope(self, p):
@@ -154,14 +156,14 @@ class PowerSharingSpec:
 # frequency-power laws
 # ---------------------------------------------------------------------------
 
-def droop_e_offset(p_set, p_m, alpha, beta, omega_b):
+def droop_e_offset(p_set, p_m, alpha, beta, omega_b, exp=np.exp):
     """Exponential-droop frequency offset in rad/s.
 
     Returns ``omega_b * alpha * (exp(beta*p_set) - exp(beta*p_m))``: zero at
     the dispatch point and strictly decreasing in ``p_m``.  Accepts scalars
-    or arrays.
+    or arrays; ``exp=math.exp`` takes floats only.
     """
-    return omega_b * alpha * (np.exp(beta * p_set) - np.exp(beta * p_m))
+    return omega_b * alpha * (exp(beta * p_set) - exp(beta * p_m))
 
 
 def static_droop_offset(p_set, p_m, droop, omega_b):
@@ -195,7 +197,7 @@ def network_to_dq(phasor: complex, delta: float) -> tuple[float, float]:
 
 def sg_derivatives(state, v_mag, theta, i_d, i_q, params: SgParams,
                    p_set, v_ref, omega_frame=None):
-    """Nine state derivatives of the synchronous generator.
+    """Nine state derivatives of the synchronous generator, as a tuple.
 
     ``state`` is ordered (delta, omega, eq_p, ed_p, e_fd, v_r, r_f, p_m,
     p_sv).  ``omega_frame`` is the rotating-frame speed the angle is
@@ -206,10 +208,9 @@ def sg_derivatives(state, v_mag, theta, i_d, i_q, params: SgParams,
     pr = params
     if omega_frame is None:
         omega_frame = pr.omega_s
-    v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
     p_e = ed_p * i_d + eq_p * i_q + (pr.x_q_p - pr.x_d_p) * i_d * i_q
     s_e = pr.sat_gamma * math.exp(pr.sat_epsilon * e_fd)
-    return np.array([
+    return (
         omega - omega_frame,
         (pr.omega_s / (2.0 * pr.h)) * (p_m - p_e),
         (-eq_p - (pr.x_d - pr.x_d_p) * i_d + e_fd) / pr.t_do_p,
@@ -220,7 +221,7 @@ def sg_derivatives(state, v_mag, theta, i_d, i_q, params: SgParams,
         (-r_f + (pr.k_f / pr.t_f) * e_fd) / pr.t_f,
         (-p_m + p_sv) / pr.t_ch,
         (-p_sv + p_set - (1.0 / pr.d_droop) * (omega / pr.omega_s - 1.0)) / pr.t_sv,
-    ])
+    )
 
 
 def sg_stator_residual(state, v_mag, theta, i_d, i_q, params: SgParams):
@@ -472,20 +473,20 @@ class GfmDevice:
         self.params.p_set = value
 
     def derivatives(self, xs, v_mag, theta, i_d, i_q, omega_frame):
-        """State derivatives (delta, p_m[, omega_ps])."""
+        """State derivatives (delta, p_m[, omega_ps]) as a tuple."""
         pr = self.params
         delta, p_m = xs[0], xs[1]
         v_d, v_q = v_mag * math.sin(delta - theta), v_mag * math.cos(delta - theta)
-        omega_delta = pr.offset(p_m)
+        omega_delta = pr.offset(p_m, math.exp)
         d_delta = omega_delta + pr.omega_set - omega_frame
         d_p = (v_d * i_d + v_q * i_q - p_m) / pr.t_fil
         if self.sharing is None:
-            return np.array([d_delta, d_p])
+            return d_delta, d_p
         ps, omega_ps = self.sharing, xs[2]
         error = 0.0
         if self.gate_closed:
             error = pr.omega_b * ps.d_static * (pr.p_set - p_m) - omega_delta
-        return np.array([d_delta + omega_ps, d_p, ps.k * (error - omega_ps)])
+        return d_delta + omega_ps, d_p, ps.k * (error - omega_ps)
 
     def stator_residual(self, xs, v_mag, theta, i_d, i_q):
         return gfm_stator_residual(xs, v_mag, theta, i_d, i_q, self.params)

@@ -69,11 +69,13 @@ class ModalResult:
                 if i != self.reference_index]
 
     def top_states(self, mode: int, count: int = 3) -> list[str]:
+        """Up to ``count`` states by falling participation in ``mode``;
+        states that do not participate are left out."""
         col = self.participation[:, mode]
         if np.any(np.isnan(col)):
             return []
         order = np.argsort(col)[::-1][:count]
-        return [self.state_labels[k] for k in order]
+        return [self.state_labels[k] for k in order if col[k] > 0]
 
 
 def linearize(dae: PowerSystemDae, x0, y0,

@@ -7,10 +7,14 @@ The composed model is ``dx/dt = f(x, y)``, ``0 = g(x, y)`` with
 * ``y``: bus angles, bus voltage magnitudes, then one (i_d, i_q) pair per
   device in machine coordinates and device base.
 
-The algebraic set is Kirchhoff current balance at every bus (system base)
-plus each device's stator/coupling equations.  Constant-power loads enter
-as current injections re-evaluated at the present voltage, so they are
-satisfied exactly at any solved point.
+The algebraic set is Kirchhoff current balance at every bus (system base),
+real parts then imaginary, plus each device's stator/coupling equations.
+The bus currents are ``-(Y V) - conj(S_load / V)`` at the phasors
+``V = v exp(j theta)`` plus each device's current rotated into the network
+frame, so constant-power loads are current injections re-evaluated at the
+present voltage and hold exactly at any solved point.  ``f`` and the device
+rows read Python floats and return tuples: on 3- to 9-bus systems numpy's
+per-call overhead, not arithmetic, is the cost.
 """
 
 from __future__ import annotations
@@ -56,12 +60,12 @@ class PowerSystemDae:
 
         n = network.n_bus
         self.n_bus = n
-        self.p_load = np.zeros(n)
-        self.q_load = np.zeros(n)
+        # Constant-power load per bus; p_load and q_load are views of it.
+        self.s_load = np.zeros(n, dtype=complex)
         for ld in network.loads:
-            i = network.bus_index(ld.bus)
-            self.p_load[i] += ld.p
-            self.q_load[i] += ld.q
+            self.s_load[network.bus_index(ld.bus)] += complex(ld.p, ld.q)
+        self.p_load = self.s_load.real
+        self.q_load = self.s_load.imag
 
         self.dev_bus = [network.bus_index(d.bus) for d in self.devices]
         self.dev_ratio = [d.rating_mva / network.bases.system_mva
@@ -73,6 +77,12 @@ class PowerSystemDae:
             off += d.n_states
         self.n_x = off
         self.n_y = 2 * n + 2 * len(self.devices)
+        # per device: itself, its bus, its first and past-last state, the
+        # index of its i_d in y and its rating over the system base
+        self._dev_slots = [
+            (d, b, o, o + d.n_states, 2 * n + 2 * k, c) for k, (d, b, o, c)
+            in enumerate(zip(self.devices, self.dev_bus, self.x_offsets,
+                             self.dev_ratio))]
 
         self.input_labels = [f"{d.name}.{sym}" for d in self.devices
                              for sym in d.input_symbols]
@@ -118,43 +128,28 @@ class PowerSystemDae:
 
     def f(self, x, y) -> np.ndarray:
         """Time derivatives of all device states."""
-        theta, v, idq = self.split_y(y)
-        out = np.empty(self.n_x)
-        for k, dev in enumerate(self.devices):
-            b = self.dev_bus[k]
-            off = self.x_offsets[k]
-            xs = x[off:off + dev.n_states]
-            out[off:off + dev.n_states] = dev.derivatives(
-                xs, v[b], theta[b], idq[2 * k], idq[2 * k + 1],
-                self.omega_frame)
-        return out
+        n = self.n_bus
+        xl, yl = x.tolist(), y.tolist()
+        out = []
+        for dev, b, lo, hi, i, _ in self._dev_slots:
+            out += dev.derivatives(xl[lo:hi], yl[n + b], yl[b], yl[i],
+                                   yl[i + 1], self.omega_frame)
+        return np.array(out)
 
     def g(self, x, y) -> np.ndarray:
         """Algebraic residuals: bus current balance plus stator equations."""
         n = self.n_bus
-        theta, v, idq = self.split_y(y)
-        vc = v * np.cos(theta)
-        vs = v * np.sin(theta)
-        ire = -(self._g @ vc - self._b @ vs)
-        iim = -(self._g @ vs + self._b @ vc)
-        v2 = v * v
-        ire -= (self.p_load * vc + self.q_load * vs) / v2
-        iim -= (self.p_load * vs - self.q_load * vc) / v2
-        res = np.empty(self.n_y)
-        dev_rows = res[2 * n:]
-        for k, dev in enumerate(self.devices):
-            b = self.dev_bus[k]
-            xs = self.device_state(x, k)
-            i_d, i_q = idq[2 * k], idq[2 * k + 1]
-            sd, cd = math.sin(xs[0]), math.cos(xs[0])
-            c = self.dev_ratio[k]
-            ire[b] += (i_d * sd + i_q * cd) * c
-            iim[b] += (-i_d * cd + i_q * sd) * c
-            dev_rows[2 * k], dev_rows[2 * k + 1] = dev.stator_residual(
-                xs, v[b], theta[b], i_d, i_q)
-        res[:n] = ire
-        res[n:2 * n] = iim
-        return res
+        v_ph = y[n:2 * n] * np.exp(1j * y[:n])
+        cur = -(self.ybus @ v_ph) - np.conj(self.s_load / v_ph)
+        xl, yl = x.tolist(), y.tolist()
+        stator = []
+        for dev, b, lo, hi, i, c in self._dev_slots:
+            xs = xl[lo:hi]
+            i_d, i_q = yl[i], yl[i + 1]
+            cur[b] += c * complex(i_d, i_q) * complex(math.sin(xs[0]),
+                                                       -math.cos(xs[0]))
+            stator += dev.stator_residual(xs, yl[n + b], yl[b], i_d, i_q)
+        return np.concatenate((cur.real, cur.imag, stator))
 
     def full_residual(self, x, y) -> np.ndarray:
         return np.concatenate([self.f(x, y), self.g(x, y)])

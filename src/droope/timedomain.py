@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -288,7 +288,8 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
     """Initialize from power flow, release dynamics and integrate events.
 
     ``scenario`` is a Scenario (see droope.scenario); ``events``, ``t_end``
-    and ``dt`` default to the scenario's own definitions.
+    and ``dt`` default to the scenario's own definitions.  Accepted states
+    and logged events carry the grid times of ``SimulationTrace.t``.
     """
     dae = scenario.build_dae()
     dt = scenario.sim.dt if dt is None else dt
@@ -338,8 +339,9 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
                 recorder.flush()   # observe earlier samples at their load
                 dae.apply_load_step(ev.bus, ev.dp, ev.dq)
                 stepper.mark_stale()
-            event_log.append(ev)
+            event_log.append(replace(ev, t=float(tr.t[k])))
         state = stepper.step(state)
+        state.t = float(tr.t[k + 1])
         if _update_sharing(dae, sharing, state, event_log):
             stepper.mark_stale()
         recorder.add(state)

@@ -144,6 +144,20 @@ class TestParticipation:
         mr = eigen_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(mr.participation, 0.5, atol=1e-12)
 
+    def test_top_states_leave_out_non_participating(self):
+        mr = eigen_decompose(np.diag([-1.0, -2.0, -3.0]),
+                             state_labels=("a", "b", "c"))
+        order = np.argsort(-mr.eigenvalues.real)
+        assert [mr.top_states(i, 3) for i in order] == [["a"], ["b"], ["c"]]
+        # each power-sharing mode at -k lives on one omega_ps state alone
+        mr = modal_point(load_scenario("9bus-caseC"), 0.5)
+        at_k = [i for i, lam in enumerate(mr.eigenvalues)
+                if abs(lam + 0.3) < 1e-12]
+        assert len(at_k) == 2
+        assert sorted(mr.top_states(i, 3)[0] for i in at_k) == [
+            "gen1.omega_ps", "gen3.omega_ps"]
+        assert all(len(mr.top_states(i, 3)) == 1 for i in at_k)
+
     def test_columns_sum_to_one(self, case_a_equilibrium):
         dae, state = case_a_equilibrium
         lin = linearize(dae, state.x, state.y, with_inputs=False)

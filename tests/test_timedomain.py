@@ -209,8 +209,9 @@ class TestCarriedDerivative:
         The offset in between is a state, so its motion needs nothing."""
         fresh = fresh_f_per_step(monkeypatch, PowerSystemDae)
         tr = run_case(load_scenario("3bus-sharing"), t_end=1.7)
-        load = round(tr.first_event_time() / tr.dt)
-        gate = round(tr.first_event_time("gate_armed") / tr.dt)
+        grid = tr.t.tolist()
+        load = grid.index(tr.first_event_time())
+        gate = grid.index(tr.first_event_time("gate_armed"))
         assert load < gate < len(fresh) - 100
         assert max(fresh) == 1
         assert [k for k, n in enumerate(fresh) if n] == [0, load, gate]
@@ -558,3 +559,11 @@ class TestRunCase:
         assert "load_step" in kinds and "gate_armed" in kinds
         times = [ev.t for ev in trace_sharing.events]
         assert times == sorted(times)
+
+    def test_event_and_state_times_on_the_grid(self, trace_sharing,
+                                               traces_9bus):
+        for tr in (trace_sharing, traces_9bus["9bus-caseC"]):
+            assert [ev.kind for ev in tr.events].count("gate_armed") >= 1
+            for ev in tr.events:
+                assert ev.t in tr.t, (tr.name, ev)
+            assert tr.final_state.t == tr.t[-1]
