@@ -13,11 +13,12 @@ from .metrics import (FrequencyStats, aggregate_inertia,
 from .network import (Branch, Bus, BusKind, ConstantPowerLoad, NetworkModel,
                       PerUnitBases, PowerFlowSolution, build_admittance,
                       solve_power_flow)
-from .scenario import BUILTINS, DeviceSpec, Scenario, SimConfig, load_scenario
+from .scenario import (BUILTINS, DeviceSpec, Event, Scenario, SimConfig,
+                       load_scenario)
 from .smallsignal import (LinearizationResult, ModalResult, dispatch_sweep,
                           eigen_decompose, linearize, participation_factors)
 from .system import PowerSystemDae, SystemState, solve_network_algebraic
-from .timedomain import (Event, SimulationTrace, TrapezoidalStepper,
+from .timedomain import (SimulationTrace, TrapezoidalStepper,
                          release_dynamics, run_case)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InitializationError, NumericError
+from .errors import InitializationError
 
 OMEGA_B_DEFAULT = 377.0
 
@@ -287,25 +287,6 @@ def device_emf_interface(state, params):
 # ---------------------------------------------------------------------------
 # equilibrium construction
 # ---------------------------------------------------------------------------
-
-def solve_field_voltage(v_r: float, params: SgParams, tol: float = 1e-12,
-                        max_iter: int = 60) -> float:
-    """Invert the field equation ``(K_E + gamma*exp(eps*E)) * E = V_R``.
-
-    Scalar Newton iteration; the left side is strictly increasing for
-    E > 0 so the root is unique.
-    """
-    e = max(v_r / (params.k_e + params.sat_gamma), 0.1)
-    for _ in range(max_iter):
-        s_e = params.sat_gamma * math.exp(params.sat_epsilon * e)
-        f = (params.k_e + s_e) * e - v_r
-        fp = params.k_e + s_e * (1.0 + params.sat_epsilon * e)
-        step = f / fp
-        e -= step
-        if abs(step) < tol:
-            return e
-    raise NumericError(f"field-voltage inversion stalled at E_fd={e}")
-
 
 def sg_init_from_terminal(v_ph: complex, s_dev: complex, params: SgParams):
     """Back-solve all nine SG states from the solved terminal condition.

@@ -170,9 +170,6 @@ class PowerFlowSolution:
     mismatch: float
     iterations: int
 
-    def phasor(self, idx: int) -> complex:
-        return self.v[idx] * np.exp(1j * self.theta[idx])
-
 
 def solve_power_flow(
     network: NetworkModel,
@@ -253,7 +250,3 @@ def solve_power_flow(
     return PowerFlowSolution(v=v, theta=theta, injections=injections,
                              mismatch=float(np.max(np.abs(f))), iterations=it)
 
-
-def network_losses(ybus: np.ndarray, v: np.ndarray, theta: np.ndarray) -> float:
-    """Total series active-power loss for the operating point."""
-    return float(np.sum(power_injections(ybus, v, theta).real))

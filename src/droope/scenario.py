@@ -3,7 +3,16 @@
 A scenario bundles a network, a set of device descriptors with dispatch,
 scheduled events and simulation settings.  JSON is the on-disk encoding;
 loading resolves every default so a load -> serialize -> load round trip
-is an identity.  Unknown keys are rejected with field-labelled errors.
+is an identity.  Each record is read and written from its dataclass fields
+(``_decode``/``_encode``), so its defaults live only on the dataclass.
+Loading is strict, and every error is a ``ScenarioError`` naming the path
+of the offending value (``devices[1].params.x_gfm: ...``):
+
+* unknown keys are rejected, and a field without a default is required;
+* a ``float`` field takes a finite JSON number (not a bool, ``NaN`` or
+  ``Infinity``), an ``int`` field a JSON integer, a ``bool`` field
+  ``true``/``false`` and a ``str`` field a string; a field that may be
+  ``None`` also takes ``null``.
 
 Built-in names (``load_scenario`` resolves them before touching the
 filesystem):
@@ -22,7 +31,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+import math
+import types
+import typing
+from dataclasses import MISSING, dataclass, replace
+from enum import Enum
 from pathlib import Path
 
 from .devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
@@ -31,7 +44,6 @@ from .errors import ScenarioError
 from .network import (Branch, Bus, BusKind, ConstantPowerLoad, NetworkModel,
                       PerUnitBases)
 from .system import PowerSystemDae
-from .timedomain import Event
 
 # device kind -> its parameter class
 _PARAM_CLASSES = {"sg": SgParams, GfmDroopEParams.kind: GfmDroopEParams,
@@ -50,6 +62,16 @@ class DeviceSpec:
 
 
 @dataclass(frozen=True)
+class Event:
+    t: float
+    kind: str                  # load_step | release_dynamics | gate_armed
+    bus: int | None = None
+    dp: float = 0.0            # system pu
+    dq: float = 0.0
+    device: str | None = None
+
+
+@dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.001
     t_end: float = 20.0
@@ -57,7 +79,8 @@ class SimConfig:
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0 or self.rocof_window <= 0:
-            raise ScenarioError("sim: dt, t_end and rocof_window must be > 0")
+            raise ScenarioError(
+                "SimConfig requires dt, t_end and rocof_window > 0")
 
 
 @dataclass(frozen=True)
@@ -153,190 +176,126 @@ class Scenario:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "f_nominal_hz": self.f_nominal_hz,
-            "base": {
-                "system_mva": self.network.bases.system_mva,
-                "omega_rad_per_s": self.network.bases.base_rad_per_s,
-            },
-            "buses": [
-                {"id": b.id, "kind": b.kind.value,
-                 "voltage_setpoint": b.voltage_setpoint, "base_kv": b.base_kv}
-                for b in self.network.buses],
-            "branches": [
-                {"from": br.from_bus, "to": br.to_bus, "x": br.reactance,
-                 "r": br.resistance}
-                for br in self.network.branches],
-            "loads": [
-                {"bus": ld.bus, "p": ld.p, "q": ld.q}
-                for ld in self.network.loads],
-            "devices": [
-                {"name": d.name, "bus": d.bus, "kind": d.kind,
-                 "p_set": d.p_set,
-                 "params": dataclasses.asdict(d.params),
-                 "power_sharing": dataclasses.asdict(d.power_sharing)}
-                for d in self.devices],
-            "events": [
-                {"t": ev.t, "kind": ev.kind, "bus": ev.bus,
-                 "dp": ev.dp, "dq": ev.dq}
-                for ev in self.events],
-            "sim": dataclasses.asdict(self.sim),
-            "notes": dict(self.notes),
-        }
+        return {"name": self.name, "description": self.description,
+                "f_nominal_hz": self.f_nominal_hz, **_encode(self.network),
+                "devices": _encode(self.devices),
+                "events": _encode(self.events), "sim": _encode(self.sim),
+                "notes": dict(self.notes)}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
-# strict dict -> Scenario construction
+# JSON records from and to dataclasses
 # ---------------------------------------------------------------------------
 
-def _check_keys(d: dict, where: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()):
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    unknown = set(d) - set(required) - set(optional)
+# JSON key -> field name, in JSON key order, of the records whose keys are
+# not their fields in field order.  The top-level object holds the network's
+# keys; an event's ``device`` is set only on logged events.
+_KEYS = {
+    NetworkModel: {"base": "bases", "buses": "buses", "branches": "branches",
+                   "loads": "loads"},
+    PerUnitBases: {"system_mva": "system_mva",
+                   "omega_rad_per_s": "base_rad_per_s"},
+    Branch: {"from": "from_bus", "to": "to_bus", "x": "reactance",
+             "r": "resistance"},
+    Event: {k: k for k in ("t", "kind", "bus", "dp", "dq")},
+    DeviceSpec: {k: k for k in ("name", "bus", "kind", "p_set", "params",
+                                "power_sharing")},
+}
+_EXPECTED = {float: "a finite number", int: "an integer",
+             bool: "true or false", str: "a string"}
+
+
+def _json_keys(cls) -> dict[str, str]:
+    return _KEYS.get(cls) or {f.name: f.name for f in dataclasses.fields(cls)}
+
+
+def _decode(cls, obj, where: str, **given):
+    """Record ``cls`` from the JSON object ``obj`` found at path ``where``
+    (empty at the top level); the fields in ``given`` are not read."""
+    label = where or "scenario"
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{label}: expected an object, got {obj!r}")
+    keys = {k: name for k, name in _json_keys(cls).items() if name not in given}
+    unknown = set(obj) - set(keys)
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ScenarioError(f"{where}: missing keys {missing}")
-
-
-def _number(d: dict, key: str, where: str, default=None):
-    if key not in d or d[key] is None:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{where}.{key}: required number missing")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _params_from_dict(cls, d: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
-    if unknown:
-        raise ScenarioError(f"{where}: unknown parameter keys {sorted(unknown)}")
+        raise ScenarioError(f"{label}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    values = dict(given)
+    for key, name in keys.items():
+        path = f"{where}.{key}" if where else key
+        if cls is DeviceSpec and name == "params":  # absent: kind's defaults
+            if values["kind"] not in _PARAM_CLASSES:
+                raise ScenarioError(
+                    f"{where}.kind: unknown kind {values['kind']!r}")
+            values[name] = _decode(_PARAM_CLASSES[values["kind"]],
+                                   obj.get(key, {}), path)
+        elif key in obj:
+            values[name] = _value(hints[name], obj[key], path)
+        elif name in required:
+            raise ScenarioError(f"{label}: missing key {key!r}")
     try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}")
+        return cls(**values)
+    except (ScenarioError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+def _value(tp, v, where: str):
+    """The JSON value ``v`` at path ``where`` checked against and converted
+    to the field type ``tp``."""
+    if isinstance(tp, types.UnionType):                  # X | None
+        return None if v is None else _value(typing.get_args(tp)[0], v, where)
+    if typing.get_origin(tp) is tuple:                   # tuple[X, ...]
+        if not isinstance(v, list):
+            raise ScenarioError(f"{where}: expected a list, got {v!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, x, f"{where}[{i}]") for i, x in enumerate(v))
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, v, where)
+    if issubclass(tp, Enum):
+        try:
+            return tp(v)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{where}: unknown kind {v!r}") from None
+    if tp is float and type(v) is int and abs(v) < 1e308:
+        v = float(v)                                     # a JSON integer
+    if (isinstance(v, tp) and isinstance(v, bool) == (tp is bool)
+            and (tp is not float or math.isfinite(v))):
+        return tp(v)
+    raise ScenarioError(f"{where}: expected {_EXPECTED[tp]}, got {v!r}")
+
+
+def _encode(value):
+    """JSON form of a record, a tuple of records or a field value."""
+    if dataclasses.is_dataclass(value):
+        return {key: _encode(getattr(value, name))
+                for key, name in _json_keys(type(value)).items()}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    _check_keys(data, "scenario",
-                required=("name", "base", "buses", "branches", "loads",
-                          "devices"),
-                optional=("description", "f_nominal_hz", "events", "sim",
-                          "notes"))
-    base = data["base"]
-    _check_keys(base, "base", ("system_mva",), ("omega_rad_per_s",))
-
-    buses = []
-    for i, b in enumerate(data["buses"]):
-        where = f"buses[{i}]"
-        _check_keys(b, where, ("id", "kind"), ("voltage_setpoint", "base_kv"))
-        try:
-            kind = BusKind(b["kind"])
-        except ValueError:
-            raise ScenarioError(f"{where}.kind: unknown kind {b['kind']!r}")
-        vset = b.get("voltage_setpoint")
-        if vset is not None:
-            vset = _number(b, "voltage_setpoint", where)
-        try:
-            buses.append(Bus(id=int(b["id"]), kind=kind, voltage_setpoint=vset,
-                             base_kv=_number(b, "base_kv", where, default=18.0)))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{where}: {exc}")
-
-    branches = []
-    for i, br in enumerate(data["branches"]):
-        where = f"branches[{i}]"
-        _check_keys(br, where, ("from", "to", "x"), ("r",))
-        try:
-            branches.append(Branch(from_bus=int(br["from"]), to_bus=int(br["to"]),
-                                   reactance=_number(br, "x", where),
-                                   resistance=_number(br, "r", where, default=0.0)))
-        except ScenarioError as exc:
-            raise ScenarioError(f"{where}: {exc}")
-
-    loads = []
-    for i, ld in enumerate(data["loads"]):
-        where = f"loads[{i}]"
-        _check_keys(ld, where, ("bus", "p", "q"))
-        loads.append(ConstantPowerLoad(bus=int(ld["bus"]),
-                                       p=_number(ld, "p", where),
-                                       q=_number(ld, "q", where)))
-
-    devices = []
-    for i, d in enumerate(data["devices"]):
-        where = f"devices[{i}]"
-        _check_keys(d, where, ("name", "bus", "kind"),
-                    ("p_set", "params", "power_sharing"))
-        kind = d["kind"]
-        if kind not in _PARAM_CLASSES:
-            raise ScenarioError(f"{where}.kind: unknown kind {kind!r}")
-        params = _params_from_dict(_PARAM_CLASSES[kind], d.get("params", {}),
-                                   f"{where}.params")
-        ps = d.get("power_sharing", {})
-        _check_keys(ps, f"{where}.power_sharing", (),
-                    ("enabled", "k", "eps_p", "eps_dp", "d_static"))
-        sharing = PowerSharingSpec(
-            enabled=bool(ps.get("enabled", False)),
-            k=_number(ps, "k", f"{where}.power_sharing", default=0.3),
-            eps_p=_number(ps, "eps_p", f"{where}.power_sharing", default=0.01),
-            eps_dp=_number(ps, "eps_dp", f"{where}.power_sharing", default=0.001),
-            d_static=_number(ps, "d_static", f"{where}.power_sharing",
-                             default=0.05))
-        p_set = d.get("p_set")
-        if p_set is not None:
-            p_set = _number(d, "p_set", where)
-        devices.append(DeviceSpec(name=str(d["name"]), bus=int(d["bus"]),
-                                  kind=kind, params=params, p_set=p_set,
-                                  power_sharing=sharing))
-
-    events = []
-    for i, ev in enumerate(data.get("events", [])):
-        where = f"events[{i}]"
-        _check_keys(ev, where, ("t", "kind"), ("bus", "dp", "dq"))
-        events.append(Event(t=_number(ev, "t", where), kind=str(ev["kind"]),
-                            bus=None if ev.get("bus") is None else int(ev["bus"]),
-                            dp=_number(ev, "dp", where, default=0.0),
-                            dq=_number(ev, "dq", where, default=0.0)))
-
-    sim_d = data.get("sim", {})
-    _check_keys(sim_d, "sim", (), ("dt", "t_end", "rocof_window"))
-    sim = SimConfig(dt=_number(sim_d, "dt", "sim", default=0.001),
-                    t_end=_number(sim_d, "t_end", "sim", default=20.0),
-                    rocof_window=_number(sim_d, "rocof_window", "sim",
-                                         default=0.1))
-
+    """Scenario from its JSON object; the inverse of ``Scenario.to_dict``."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"scenario: expected an object, got {data!r}")
+    net_keys = _json_keys(NetworkModel)
+    network = _decode(NetworkModel,
+                      {k: v for k, v in data.items() if k in net_keys}, "")
     notes = data.get("notes", {})
-    if not isinstance(notes, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in notes.items()):
-        raise ScenarioError("notes: expected an object of strings")
-
-    bases = PerUnitBases(
-        system_mva=_number(base, "system_mva", "base"),
-        base_rad_per_s=_number(base, "omega_rad_per_s", "base", default=377.0))
-    try:
-        network = NetworkModel(buses=tuple(buses), branches=tuple(branches),
-                               loads=tuple(loads), bases=bases)
-        return Scenario(name=str(data["name"]), network=network,
-                        devices=tuple(devices), events=tuple(events), sim=sim,
-                        f_nominal_hz=_number(data, "f_nominal_hz", "scenario",
-                                             default=60.0),
-                        description=str(data.get("description", "")),
-                        notes=tuple(sorted(notes.items())))
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc))
+    if not isinstance(notes, dict):
+        raise ScenarioError(f"notes: expected an object, got {notes!r}")
+    for key, text in notes.items():
+        _value(str, text, f"notes.{key}")
+    rest = {k: v for k, v in data.items() if k not in net_keys and k != "notes"}
+    return _decode(Scenario, rest, "", network=network,
+                   notes=tuple(sorted(notes.items())))
 
 
 def load_scenario(source) -> Scenario:

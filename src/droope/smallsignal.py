@@ -19,12 +19,13 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DroopeError, NumericError, PowerFlowError
+from .errors import DroopeError, NumericError
 from .network import solve_power_flow
 from .system import PowerSystemDae
 from .timedomain import release_dynamics
@@ -59,10 +60,6 @@ class ModalResult:
     dispatch: float | None = None
     reference_index: int | None = None
     defective: tuple[int, ...] = ()
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        return np.abs(self.eigenvalues.imag) / (2.0 * np.pi)
 
     def physical_indices(self) -> list[int]:
         return [i for i in range(len(self.eigenvalues))
@@ -227,8 +224,12 @@ def modal_point(scenario, p_set: float) -> ModalResult:
                            dispatch=p_set)
 
 
-def _failure_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _attempt(scenario, p_set: float) -> ModalResult | str:
+    """``modal_point`` at one sweep dispatch, or the text of its failure."""
+    try:
+        return modal_point(scenario, p_set)
+    except DroopeError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
@@ -238,35 +239,25 @@ def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
     overlap (Hungarian assignment on |<v_i, v_j>|), which follows
     trajectories through crossings.  A point that fails (power flow,
     release) is skipped and recorded as ``(p_set, "<ErrorClass>: message")``.
+    ``jobs > 1`` evaluates the points in that many worker processes.
     """
     if p_grid is None:
         p_grid = np.round(np.arange(1, 100) * 0.01, 10)
     p_grid = np.asarray(p_grid, dtype=float)
 
-    results: list[ModalResult | None] = [None] * len(p_grid)
-    failures: list[tuple[float, str]] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [pool.submit(modal_point, scenario, p) for p in p_grid]
-            for i, fut in enumerate(futs):
-                try:
-                    results[i] = fut.result()
-                except (PowerFlowError, DroopeError) as exc:
-                    msg = _failure_text(exc)
-                    log.warning("sweep point p_set=%s failed: %s", p_grid[i], msg)
-                    failures.append((float(p_grid[i]), msg))
+            outcomes = list(pool.map(_attempt, repeat(scenario), p_grid))
     else:
-        for i, p in enumerate(p_grid):
-            try:
-                results[i] = modal_point(scenario, p)
-            except (PowerFlowError, DroopeError) as exc:
-                msg = _failure_text(exc)
-                log.warning("sweep point p_set=%s failed: %s", p, msg)
-                failures.append((float(p), msg))
-
-    kept = [(p, r) for p, r in zip(p_grid, results) if r is not None]
-    dispatches = np.array([p for p, _ in kept])
-    points = [r for _, r in kept]
+        outcomes = list(map(_attempt, repeat(scenario), p_grid))
+    dispatches, points, failures = [], [], []
+    for p, out in zip(p_grid, outcomes):
+        if isinstance(out, str):
+            log.warning("sweep point p_set=%s failed: %s", p, out)
+            failures.append((float(p), out))
+        else:
+            dispatches.append(p)
+            points.append(out)
 
     track_ids: list[np.ndarray] = []
     prev = None
@@ -282,7 +273,7 @@ def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
             ids[col] = prev_ids[row]
         track_ids.append(ids)
         prev = (mr, ids)
-    return SweepResult(dispatches=dispatches, points=points,
+    return SweepResult(dispatches=np.array(dispatches), points=points,
                        track_ids=track_ids, failures=failures)
 
 

@@ -61,9 +61,7 @@ class PowerSystemDae:
         n = network.n_bus
         self.n_bus = n
         # Constant-power load per bus; p_load and q_load are views of it.
-        self.s_load = np.zeros(n, dtype=complex)
-        for ld in network.loads:
-            self.s_load[network.bus_index(ld.bus)] += complex(ld.p, ld.q)
+        self.s_load = network.load_vector()
         self.p_load = self.s_load.real
         self.q_load = self.s_load.imag
 

@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dgetrs
 from .devices import GfmDevice
 from .errors import InitializationError, ScenarioError, StepError
 from .network import PowerFlowSolution, solve_power_flow
+from .scenario import Event
 from .system import (PowerSystemDae, SystemState, find_equilibrium,
                      solve_network_algebraic)
 
@@ -32,16 +33,6 @@ log = logging.getLogger(__name__)
 # samples, few enough that the block buffers stay far below a megabyte.
 _OBSERVE_ROWS = 256
 _CSV_ROWS = 128
-
-
-@dataclass(frozen=True)
-class Event:
-    t: float
-    kind: str                  # load_step | release_dynamics | gate_armed
-    bus: int | None = None
-    dp: float = 0.0            # system pu
-    dq: float = 0.0
-    device: str | None = None
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from droope import smallsignal
+import droope
+from droope import smallsignal, timedomain
 from droope.cli import main
 from droope.errors import InitializationError, ScenarioError
 from droope.metrics import headroom_csv, headroom_markdown, headroom_table
@@ -21,6 +23,25 @@ def fail_release_at(monkeypatch, dispatches):
         return real(scenario, p_set)
 
     monkeypatch.setattr(smallsignal, "modal_point", modal_point)
+
+
+# A value of each JSON type: string, bool, NaN, Infinity, list and object.
+WRONG_VALUES = ("0.3", True, float("nan"), float("inf"), [], {})
+
+
+def json_leaves(node, path=""):
+    """``(container, key, path)`` of every value in a JSON document that is
+    neither a list nor an object."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        if isinstance(node, list):
+            sub = f"{path}[{key}]"
+        else:
+            sub = f"{path}.{key}" if path else key
+        if isinstance(value, (dict, list)):
+            yield from json_leaves(value, sub)
+        else:
+            yield node, key, sub
 
 
 class TestBuiltinScenarios:
@@ -64,6 +85,10 @@ class TestBuiltinScenarios:
         again = scenario_from_dict(json.loads(scen.to_json()))
         assert again == scen
         assert again.to_json() == scen.to_json()
+
+    def test_event_has_one_home(self):
+        from droope import scenario
+        assert droope.Event is timedomain.Event is scenario.Event
 
 
 class TestScenarioValidation:
@@ -109,6 +134,43 @@ class TestScenarioValidation:
         d["loads"][0]["p"] = "lots"
         with pytest.raises(ScenarioError, match=r"loads\[0\].p"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_every_leaf_is_type_checked(self, name):
+        # each leaf of the document, replaced by a value of another JSON
+        # type (or by NaN or Infinity), is rejected under its own path
+        doc = json.loads(load_scenario(name).to_json())
+        for node, key, path in list(json_leaves(doc)):
+            good = node[key]
+            for bad in WRONG_VALUES:
+                if type(bad) is type(good) and isinstance(good, (str, bool)):
+                    continue
+                node[key] = bad
+                with pytest.raises(ScenarioError,
+                                   match="^" + re.escape(path) + ":"):
+                    scenario_from_dict(doc)
+            node[key] = good
+        assert scenario_from_dict(doc) == load_scenario(name)
+
+    def test_string_flag_rejected(self):
+        d = self._minimal()
+        d["devices"][0]["power_sharing"] = {"enabled": "no"}
+        with pytest.raises(ScenarioError,
+                           match=r"devices\[0\].power_sharing.enabled"):
+            scenario_from_dict(d)
+
+    def test_fractional_bus_id_rejected(self):
+        d = self._minimal()
+        d["buses"][1]["id"] = 1.9
+        with pytest.raises(ScenarioError, match=r"buses\[1\].id"):
+            scenario_from_dict(d)
+
+    def test_integral_numbers_accepted_as_floats(self):
+        d = self._minimal()
+        d["base"]["system_mva"] = 100
+        scen = scenario_from_dict(d)
+        assert type(scen.network.bases.system_mva) is float
+        assert scenario_from_dict(json.loads(scen.to_json())) == scen
 
     def test_slack_device_with_dispatch_rejected(self):
         d = self._minimal()
@@ -244,6 +306,17 @@ class TestCommandLine:
         assert main(["powerflow", "--scenario", "missing.json"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "input"
+
+    def test_string_parameter_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(load_scenario("3bus-caseA").to_json())
+        doc["devices"][1]["params"]["x_gfm"] = "0.3"
+        path = tmp_path / "string_param.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path), "--t-end", "0.01"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "input"
+        assert err["message"].startswith("devices[1].params.x_gfm:")
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         bad = {

@@ -9,7 +9,7 @@ from droope.devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
                             gfm_init_from_terminal, gfm_stator_residual,
                             network_to_dq, sg_derivatives,
                             sg_init_from_terminal, sg_stator_residual,
-                            solve_field_voltage, static_droop_offset)
+                            static_droop_offset)
 
 W_B = 377.0
 
@@ -115,24 +115,6 @@ class TestSgModel:
         assert max(abs(r) for r in res) < 1e-12
         d = sg_derivatives(state, v_mag, theta, i_d, i_q, params, p_set, v_ref)
         assert np.max(np.abs(d)) < 1e-12
-
-    def test_field_voltage_inversion_against_bisection(self):
-        params = SgParams()
-        for e_true in (0.5, 1.3, 2.4, 3.5):
-            s_e = params.sat_gamma * math.exp(params.sat_epsilon * e_true)
-            v_r = (params.k_e + s_e) * e_true
-            e_newton = solve_field_voltage(v_r, params)
-            lo, hi = 1e-6, 10.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                f = (params.k_e + params.sat_gamma
-                     * math.exp(params.sat_epsilon * mid)) * mid - v_r
-                if f > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            assert e_newton == pytest.approx(e_true, abs=1e-10)
-            assert e_newton == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
 class TestGfmModel:

@@ -4,7 +4,7 @@ import pytest
 from droope.errors import PowerFlowError, ScenarioError, TopologyError
 from droope.network import (Branch, Bus, BusKind, ConstantPowerLoad,
                             NetworkModel, PerUnitBases, build_admittance,
-                            network_losses, power_injections, solve_power_flow)
+                            power_injections, solve_power_flow)
 from droope.scenario import load_scenario
 
 
@@ -143,8 +143,8 @@ class TestPowerFlow:
     def test_nine_bus_converges_with_losses(self):
         scen = load_scenario("9bus-caseA")
         pf = solve_power_flow(scen.network, scen.dispatch_map())
-        net = scen.network
-        losses = network_losses(build_admittance(net), pf.v, pf.theta)
+        ybus = build_admittance(scen.network)
+        losses = power_injections(ybus, pf.v, pf.theta).real.sum()
         assert losses > 0
         gen = sum(s.real for s in pf.injections.values())
         assert gen == pytest.approx(3.15 + losses, abs=1e-8)

@@ -219,6 +219,20 @@ class TestSweep:
         sw = dispatch_sweep(scen, p_grid=[0.2, 0.5])
         assert len(sw.points) == 2 and not sw.failures
 
+    def test_worker_processes_match_one_process(self):
+        from droope.smallsignal import dispatch_sweep
+        scen = load_scenario("3bus-caseA")
+        grid = [0.2, 0.4, 0.6, 0.8]
+        one = dispatch_sweep(scen, p_grid=grid)
+        two = dispatch_sweep(scen, p_grid=grid, jobs=2)
+        assert len(one.points) == len(two.points) == 4
+        assert np.array_equal(one.dispatches, two.dispatches)
+        for a, b in zip(one.points, two.points):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for a, b in zip(one.track_ids, two.track_ids):
+            assert np.array_equal(a, b)
+        assert one.failures == two.failures
+
 
 class TestRingdownOracle:
     def test_eigenvalue_matches_time_domain_decay(self):
