@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DroopeError, NumericError
+from .errors import DroopeError, NumericError, ScenarioError
 from .network import solve_power_flow
 from .system import PowerSystemDae
 from .timedomain import release_dynamics
@@ -240,10 +240,14 @@ def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
     trajectories through crossings.  A point that fails (power flow,
     release) is skipped and recorded as ``(p_set, "<ErrorClass>: message")``.
     ``jobs > 1`` evaluates the points in that many worker processes.
+    Raises ScenarioError naming the first dispatch outside [0, 1].
     """
     if p_grid is None:
         p_grid = np.round(np.arange(1, 100) * 0.01, 10)
     p_grid = np.asarray(p_grid, dtype=float)
+    for p in p_grid:
+        if not 0.0 <= p <= 1.0:
+            raise ScenarioError(f"sweep dispatch p_set={p} lies outside [0, 1]")
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

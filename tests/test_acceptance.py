@@ -223,7 +223,7 @@ def test_criterion_8_property_suites(case_a_equilibrium, trace_case_a,
         for dt in (2e-3, 1e-3):
             stepper = TrapezoidalStepper(Decay(), dt, tol=1e-14)
             st = SystemState(np.array([1.0]), np.zeros(0))
-            for _ in range(int(round(1.0 / dt))):
-                st = stepper.step(st)
+            for k in range(int(round(1.0 / dt))):
+                st = stepper.step(st, (k + 1) * dt)
             errs.append(abs(st.x[0] - math.exp(-1.0)))
         assert 3.5 < errs[0] / errs[1] < 4.5

@@ -265,6 +265,17 @@ class TestCommandLine:
         assert lines[0].startswith("p_set,track,re,im,zeta,freq_hz")
         assert len(lines) == 1 + 5 * 11
 
+    def test_eig_sweep_grid_beyond_one_rejected_up_front(self, tmp_path,
+                                                         capsys):
+        rc = main(["eig-sweep", "--scenario", "3bus-caseA",
+                   "--out", str(tmp_path),
+                   "--from", "0.98", "--to", "1.02", "--step", "0.01"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert err["kind"] == "input" and err["type"] == "ScenarioError"
+        assert "p_set=1.01 " in err["message"]
+        assert not (tmp_path / "3bus-caseA_modes.csv").exists()
+
     def test_eig_sweep_names_failure_class(self, tmp_path, capsys,
                                            monkeypatch):
         # points that fail in release, not in power flow, are named by

@@ -256,7 +256,7 @@ class TestRingdownOracle:
         omega = np.empty(n + 1)
         omega[0] = st.x[1]
         for k in range(n):
-            st = stepper.step(st)
+            st = stepper.step(st, (k + 1) * dt)
             omega[k + 1] = st.x[1]
         t = np.arange(n + 1) * dt
 

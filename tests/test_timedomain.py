@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -69,6 +70,25 @@ class RidgeOde(DecayOde):
         return np.where(x <= 0.0, 1.0, np.nan)
 
 
+class DriftOde(OracleJacobian):
+    """dx/dt = -(1 + drift s) x and ds/dt = 1.  The Jacobian drifts with
+    the clock s, so Newton on the matrix factorized at a step's start
+    contracts at about ``drift * dt**2 / 2`` per solve."""
+
+    n_x, n_y = 2, 0
+    x_labels, y_labels = ["x", "s"], []
+    devices = []
+
+    def __init__(self, drift):
+        self.drift = drift
+
+    def f(self, x, y):
+        return np.array([-(1.0 + self.drift * x[1]) * x[0], 1.0])
+
+    def g(self, x, y):
+        return np.zeros(0)
+
+
 @pytest.fixture
 def newton_solves(monkeypatch):
     """Per-call log of the stepper's LU solves."""
@@ -88,7 +108,7 @@ def solves_per_step(stepper, st, calls, n=1):
     counts = []
     for _ in range(n):
         before = len(calls)
-        st = stepper.step(st)
+        st = stepper.step(st, st.t + stepper.dt)
         counts.append(len(calls) - before)
     return st, counts
 
@@ -162,10 +182,10 @@ def fresh_f_per_step(monkeypatch, dae_cls):
             fresh[-1] += 1
         return real_f(self, x, y)
 
-    def step(self, state):
+    def step(self, state, t1):
         start.update(x=state.x, y=state.y)
         fresh.append(0)
-        return real_step(self, state)
+        return real_step(self, state, t1)
 
     monkeypatch.setattr(dae_cls, "f", f)
     monkeypatch.setattr(TrapezoidalStepper, "step", step)
@@ -190,7 +210,7 @@ class TestCarriedDerivative:
         for k in range(4):
             if k == 2:
                 stepper.mark_stale()
-            st = stepper.step(st)
+            st = stepper.step(st, (k + 1) * 1e-3)
         assert fresh == [1, 0, 1, 0]
 
     def test_not_reused_from_a_foreign_state(self, f_calls):
@@ -249,7 +269,7 @@ def run_case_per_sample(scen, t_end):
         if ev is not None:
             dae.apply_load_step(ev.bus, ev.dp, ev.dq)
             stepper.mark_stale()
-        state = stepper.step(state)
+        state = stepper.step(state, (k + 1) * dt)
         if timedomain._update_sharing(dae, sharing, state, []):
             stepper.mark_stale()
         record(state)
@@ -341,8 +361,8 @@ class TestStepper:
         dae, state = case_a_equilibrium
         stepper = TrapezoidalStepper(dae, 1e-3)
         st = state.copy()
-        for _ in range(1000):
-            st = stepper.step(st)
+        for k in range(1000):
+            st = stepper.step(st, (k + 1) * 1e-3)
         assert np.max(np.abs(st.x - state.x)) < 1e-10
         assert np.max(np.abs(st.y - state.y)) < 1e-10
 
@@ -351,8 +371,8 @@ class TestStepper:
         dt = 1e-3
         stepper = TrapezoidalStepper(ode, dt, tol=1e-14)
         st = SystemState(np.array([1.0]), np.zeros(0))
-        for _ in range(1000):
-            st = stepper.step(st)
+        for k in range(1000):
+            st = stepper.step(st, (k + 1) * dt)
         assert st.x[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
     def test_second_order_convergence_rate(self):
@@ -360,8 +380,8 @@ class TestStepper:
         for dt in (2e-3, 1e-3):
             stepper = TrapezoidalStepper(DecayOde(), dt, tol=1e-14)
             st = SystemState(np.array([1.0]), np.zeros(0))
-            for _ in range(int(round(1.0 / dt))):
-                st = stepper.step(st)
+            for k in range(int(round(1.0 / dt))):
+                st = stepper.step(st, (k + 1) * dt)
             errs.append(abs(st.x[0] - math.exp(-1.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.3)
 
@@ -391,8 +411,8 @@ class TestStepper:
         state.y = solve_network_algebraic(dae, state.x, state.y)
         h = 1e-5
         stepper = TrapezoidalStepper(dae, h, tol=1e-13)
-        s1 = stepper.step(state)
-        s2 = stepper.step(s1)
+        s1 = stepper.step(state, h)
+        s2 = stepper.step(s1, 2 * h)
         fd = (s2.x - state.x) / (2 * h)
         f_mid = dae.f(s1.x, s1.y)
         scale = np.maximum(1.0, np.abs(f_mid))
@@ -406,8 +426,40 @@ class TestStepper:
         dae.apply_load_step(2, 60.0, 20.0)
         stepper = TrapezoidalStepper(dae, 1e-3)
         with pytest.raises(StepError) as err:
-            stepper.step(state)
+            stepper.step(state, 1e-3)
         assert err.value.t == pytest.approx(0.0)
+
+    # a diverging iterate overflows math.exp in the SG saturation
+    @pytest.mark.parametrize("dq", [0.0, 20.0])
+    @pytest.mark.parametrize("dp", [5.0, 10.0, 20.0])
+    def test_residual_overflow_is_a_step_error(self, dp, dq):
+        scen = load_scenario("3bus-caseA")
+        dae = scen.build_dae()
+        state = release_dynamics(
+            dae, solve_power_flow(scen.network, scen.dispatch_map()))
+        dae.apply_load_step(2, dp, dq)
+        with pytest.raises(StepError) as err:
+            TrapezoidalStepper(dae, 1e-3).step(state, 1e-3)
+        assert err.value.t == pytest.approx(0.0)
+
+    # dt = 0.1: drift 30 contracts at about 0.14, drift 5 at about 0.024;
+    # from x = 1e-4, drift 100 would not reach tol within max_newton on the
+    # matrix from the step's start
+    @pytest.mark.parametrize("x0, drift, cause, solves", [
+        (1e-6, 30.0, "slow", 3), (1.0, 5.0, None, 5),
+        (1e-4, 100.0, "diverging", 2)])
+    def test_refresh_follows_contraction_rate(self, newton_solves, x0, drift,
+                                              cause, solves):
+        stepper = TrapezoidalStepper(DriftOde(drift), 0.1)
+        st = SystemState(np.array([x0, 0.0]), np.zeros(0))
+        st, counts = solves_per_step(stepper, st, newton_solves)
+        assert counts == [solves]
+        assert stepper.solves == solves
+        assert stepper.refreshes["diverging"] == (cause == "diverging")
+        assert stepper.refreshes["slow"] == 0
+        solves_per_step(stepper, st, newton_solves)
+        assert stepper.refreshes["slow"] == (cause == "slow")
+        assert stepper.refreshes["stale"] == 1
 
     # the residual turns NaN ten steps in; the Newton matrix at the start
     @pytest.mark.parametrize("ode, x0, t_fail", [
@@ -416,8 +468,8 @@ class TestStepper:
         stepper = TrapezoidalStepper(ode, 1e-3)
         st = SystemState(np.array([x0]), np.zeros(0))
         with pytest.raises(StepError) as err:
-            for _ in range(20):
-                st = stepper.step(st)
+            for k in range(20):
+                st = stepper.step(st, (k + 1) * 1e-3)
         assert err.value.t == pytest.approx(t_fail)
         assert not math.isfinite(err.value.residual)
 
@@ -517,6 +569,17 @@ class TestRunCase:
                                      tr.first_event_time(), tr.rocof_window)
         got = (st.nadir, st.nadir_time, st.peak_rocof, st.settling)
         assert got == pytest.approx(expected, rel=0, abs=1e-8)
+
+    def test_case_b_needs_under_one_solve_per_step(self, newton_solves,
+                                                   caplog):
+        # a refresh only after a step of five or more solves averaged 1.52
+        with caplog.at_level(logging.INFO, logger="droope.timedomain"):
+            tr = run_case(load_scenario("3bus-caseB"))
+        assert len(newton_solves) / (len(tr.t) - 1) < 1.0
+        counted = [r.getMessage() for r in caplog.records
+                   if "Newton solves" in r.getMessage()]
+        assert len(counted) == 1
+        assert f" {len(newton_solves)} Newton solves" in counted[0]
 
     def test_power_balance_every_step(self, trace_case_a):
         assert np.max(np.abs(trace_case_a.balance_residual)) < 1e-6
