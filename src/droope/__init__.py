@@ -17,7 +17,7 @@ from .scenario import (BUILTINS, DeviceSpec, Event, Scenario, SimConfig,
                        load_scenario)
 from .smallsignal import (LinearizationResult, ModalResult, dispatch_sweep,
                           eigen_decompose, linearize, participation_factors)
-from .system import PowerSystemDae, SystemState, solve_network_algebraic
+from .system import PowerSystemDae, SystemState
 from .timedomain import (SimulationTrace, TrapezoidalStepper,
                          release_dynamics, run_case)
 

@@ -43,11 +43,11 @@ def _out_dir(args) -> Path:
 def _scenario_overrides(args, scen: Scenario) -> Scenario:
     import dataclasses
     sim = scen.sim
-    if getattr(args, "dt", None):
+    if getattr(args, "dt", None) is not None:
         sim = dataclasses.replace(sim, dt=args.dt)
-    if getattr(args, "t_end", None):
+    if getattr(args, "t_end", None) is not None:
         sim = dataclasses.replace(sim, t_end=args.t_end)
-    if getattr(args, "rocof_window", None):
+    if getattr(args, "rocof_window", None) is not None:
         sim = dataclasses.replace(sim, rocof_window=args.rocof_window)
     return dataclasses.replace(scen, sim=sim)
 
@@ -123,6 +123,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_eig_sweep(args) -> int:
     scen = load_scenario(args.scenario)
+    if not args.step > 0:
+        raise ScenarioError(f"--step must be positive, got {args.step}")
     grid = np.round(np.arange(args.start, args.stop + 0.5 * args.step,
                               args.step), 12)
     sweep = dispatch_sweep(scen, grid, jobs=args.jobs)

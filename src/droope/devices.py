@@ -180,11 +180,6 @@ def droop_e_slope(p_m, alpha, beta):
 # frame helpers
 # ---------------------------------------------------------------------------
 
-def dq_to_network(f_d: float, f_q: float, delta: float) -> complex:
-    """Rotate a machine dq phasor into the network frame."""
-    return complex(f_d, f_q) * np.exp(1j * (delta - 0.5 * np.pi))
-
-
 def network_to_dq(phasor: complex, delta: float) -> tuple[float, float]:
     """Project a network-frame phasor onto the machine dq axes."""
     rot = phasor * np.exp(-1j * (delta - 0.5 * np.pi))
@@ -268,20 +263,6 @@ def _coupling_partials(jac, n_s, v_mag, angle, i_d, i_q, r, x):
     jac[d, 0], jac[q, 0] = -v_mag * c, v_mag * s
     jac[d, n_s:] = v_mag * c, -s, -r, x
     jac[q, n_s:] = -v_mag * s, -c, -x, -r
-
-
-def device_emf_interface(state, params):
-    """Internal EMF and coupling impedance in machine coordinates.
-
-    Returns ``(e_d, e_q, delta, z)``; the network-frame phasor is
-    ``dq_to_network(e_d, e_q, delta)`` and ``z`` is the series impedance
-    (device pu) between the EMF and the terminal.
-    """
-    if isinstance(params, SgParams):
-        return (state[3], state[2], state[0],
-                complex(params.r_s, params.x_d_p))
-    return (params.e_d, params.e_q, state[0],
-            complex(params.r_gfm, params.x_gfm))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +389,6 @@ class SgDevice:
     def output_power(self, xs, v_mag, theta, i_d, i_q):
         """Electrical power at the machine terminal (device pu)."""
         return terminal_power(xs, v_mag, theta, i_d, i_q)
-
-    def emf_interface(self, xs):
-        return device_emf_interface(xs, self.params)
 
 
 class GfmDevice:
@@ -539,6 +517,3 @@ class GfmDevice:
         self.gate_closed = bool(abs(p_m - self.p_ref) > self.sharing.eps_p
                                 and abs(dp_dt) < self.sharing.eps_dp)
         return self.gate_closed
-
-    def emf_interface(self, xs):
-        return device_emf_interface(xs, self.params)

@@ -23,7 +23,11 @@ class PowerFlowError(DroopeError):
 
 
 class AlgebraicSolveError(DroopeError):
-    """Network algebraic solve failed (e.g. voltage collapse)."""
+    """A Newton solve of the DAE failed (e.g. voltage collapse).
+
+    Raised by the equilibrium polish (``find_equilibrium``) and, as its
+    subclass StepError, by the time stepper.
+    """
 
     def __init__(self, message, t=None, residual=None):
         super().__init__(message)

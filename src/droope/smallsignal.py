@@ -137,7 +137,8 @@ def eigen_decompose(a_sys: np.ndarray, state_labels=None,
 
     Uses the LAPACK Hessenberg/QR path via scipy; every eigenpair is
     verified to ``|A v - lambda v| < residual_tol`` with unit-norm
-    eigenvectors, otherwise NumericError carries the matrix.
+    eigenvectors, otherwise NumericError names the worst residual and its
+    eigenvalue on one line.
     """
     if not np.all(np.isfinite(a_sys)):
         raise NumericError("state matrix contains non-finite entries")
@@ -145,10 +146,11 @@ def eigen_decompose(a_sys: np.ndarray, state_labels=None,
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
     res = np.linalg.norm(a_sys @ vr - vr * vals[None, :], axis=0)
-    if np.max(res) > residual_tol:
+    worst = int(np.argmax(res))
+    if res[worst] > residual_tol:
         raise NumericError(
-            f"eigen residual {np.max(res):.3e} exceeds {residual_tol:.1e}; "
-            f"matrix:\n{np.array_str(a_sys, precision=6)}")
+            f"eigen residual {res[worst]:.3e} exceeds {residual_tol:.1e} "
+            f"at eigenvalue {vals[worst]:.6g}")
 
     mag = np.abs(vals)
     damping = np.where(mag > 0, -vals.real / np.where(mag > 0, mag, 1.0), 0.0)
@@ -240,11 +242,14 @@ def dispatch_sweep(scenario, p_grid=None, jobs: int = 1) -> SweepResult:
     trajectories through crossings.  A point that fails (power flow,
     release) is skipped and recorded as ``(p_set, "<ErrorClass>: message")``.
     ``jobs > 1`` evaluates the points in that many worker processes.
-    Raises ScenarioError naming the first dispatch outside [0, 1].
+    Raises ScenarioError for an empty grid or naming the first dispatch
+    outside [0, 1].
     """
     if p_grid is None:
         p_grid = np.round(np.arange(1, 100) * 0.01, 10)
     p_grid = np.asarray(p_grid, dtype=float)
+    if p_grid.size == 0:
+        raise ScenarioError("sweep grid holds no dispatch")
     for p in p_grid:
         if not 0.0 <= p <= 1.0:
             raise ScenarioError(f"sweep dispatch p_set={p} lies outside [0, 1]")

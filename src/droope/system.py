@@ -257,47 +257,6 @@ class PowerSystemDae:
                 *self._sample_columns(x, y, k))
         return gen - np.sum(self.p_load) - losses
 
-    def initial_y_guess(self, x) -> np.ndarray:
-        """Crude algebraic start: flat bus voltages, EMF-driven currents."""
-        n = self.n_bus
-        y = np.zeros(self.n_y)
-        y[n:2 * n] = 1.0
-        for k, dev in enumerate(self.devices):
-            xs = self.device_state(x, k)
-            e_d, e_q, delta, z = dev.emf_interface(xs)
-            e_ph = complex(e_d, e_q) * np.exp(1j * (delta - 0.5 * math.pi))
-            i_ph = (e_ph - 1.0) / z
-            rot = i_ph * np.exp(-1j * (delta - 0.5 * math.pi))
-            y[2 * n + 2 * k] = rot.real
-            y[2 * n + 2 * k + 1] = rot.imag
-        return y
-
-
-def solve_network_algebraic(dae: PowerSystemDae, x, y0=None, tol: float = 1e-10,
-                            max_iter: int = 30, t: float | None = None) -> np.ndarray:
-    """Newton solve of the algebraic set for fixed dynamic states.
-
-    Converges to a Kirchhoff residual below ``tol`` (infinity norm) or
-    raises AlgebraicSolveError carrying the offending time.
-    """
-    n_x = dae.n_x
-    y = dae.initial_y_guess(x) if y0 is None else y0.copy()
-    res = dae.g(x, y)
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) < tol:
-            return y
-        jac = dae.jacobian(x, y)[n_x:, n_x:]
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise AlgebraicSolveError(f"singular algebraic Jacobian: {exc}",
-                                      t=t, residual=float(np.max(np.abs(res))))
-        y -= step
-        res = dae.g(x, y)
-    raise AlgebraicSolveError(
-        f"algebraic solve stalled at residual {np.max(np.abs(res)):.3e}",
-        t=t, residual=float(np.max(np.abs(res))))
-
 
 def find_equilibrium(dae: PowerSystemDae, x0, y0, tol: float = 1e-10,
                      max_iter: int = 25):

@@ -21,12 +21,11 @@ import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgetrs
 
-from .devices import GfmDevice
+from .devices import GfmDevice, network_to_dq
 from .errors import InitializationError, ScenarioError, StepError
 from .network import PowerFlowSolution, solve_power_flow
 from .scenario import Event
-from .system import (PowerSystemDae, SystemState, find_equilibrium,
-                     solve_network_algebraic)
+from .system import PowerSystemDae, SystemState, find_equilibrium
 
 log = logging.getLogger(__name__)
 
@@ -268,14 +267,14 @@ class TrapezoidalStepper:
 def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:
     """Turn a power-flow point into a consistent dynamic equilibrium.
 
-    Every device back-solves its internal states and setpoints from the
-    solved terminal voltage and injection, the whole point is polished by
-    ``find_equilibrium`` (which frees the slack device's power set-point to
-    absorb the power flow's mismatch), and the start is verified stationary
-    (all derivatives below 1e-8).
+    Two steps.  Every device back-solves its internal states, set-points
+    and dq current from the solved terminal voltage and injection; then one
+    bordered Newton, ``find_equilibrium``, polishes the whole point (it
+    frees the slack device's power set-point to absorb the power flow's
+    mismatch).  A failed polish, or a start that is not stationary (some
+    derivative above 1e-8), raises InitializationError.
     """
-    net = dae.network
-    n = net.n_bus
+    n = dae.n_bus
     x = np.empty(dae.n_x)
     y = np.empty(dae.n_y)
     y[:n] = pf.theta
@@ -287,11 +286,8 @@ def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:
         off = dae.x_offsets[k]
         xs = dev.initialize(v_ph, s_dev)
         x[off:off + dev.n_states] = xs
-        i_ph = np.conj(s_dev / v_ph)
-        rot = i_ph * np.exp(-1j * (xs[0] - 0.5 * math.pi))
-        y[2 * n + 2 * k] = rot.real
-        y[2 * n + 2 * k + 1] = rot.imag
-    y = solve_network_algebraic(dae, x, y, tol=1e-12)
+        y[2 * n + 2 * k:2 * n + 2 * k + 2] = network_to_dq(
+            np.conj(s_dev / v_ph), xs[0])
     try:
         x, y = find_equilibrium(dae, x, y, tol=1e-10)
     except Exception as exc:

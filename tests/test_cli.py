@@ -233,6 +233,19 @@ class TestCommandLine:
         assert stats["source"] == "sg"
         assert stats["window_s"] == 0.1
 
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end", "--rocof-window"])
+    def test_simulate_zero_override_is_input_error(self, tmp_path, capsys,
+                                                   flag):
+        args = {"--dt": "0.001", "--t-end": "0.5", "--rocof-window": "0.1"}
+        args[flag] = "0"
+        rc = main(["simulate", "--scenario", "3bus-caseA",
+                   "--out", str(tmp_path),
+                   *(tok for kv in args.items() for tok in kv)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "input" and err["type"] == "ScenarioError"
+        assert not (tmp_path / "3bus-caseA_trace.csv").exists()
+
     def test_simulate_deterministic_output(self, tmp_path):
         outs = []
         for sub in ("a", "b"):
@@ -274,6 +287,18 @@ class TestCommandLine:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
         assert err["kind"] == "input" and err["type"] == "ScenarioError"
         assert "p_set=1.01 " in err["message"]
+        assert not (tmp_path / "3bus-caseA_modes.csv").exists()
+
+    @pytest.mark.parametrize("start, stop, step", [
+        ("0.2", "0.3", "0"), ("0.2", "0.3", "-0.01"), ("0.5", "0.4", "0.01")])
+    def test_eig_sweep_bad_grid_is_input_error(self, tmp_path, capsys,
+                                               start, stop, step):
+        rc = main(["eig-sweep", "--scenario", "3bus-caseA",
+                   "--out", str(tmp_path),
+                   "--from", start, "--to", stop, "--step", step])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "input" and err["type"] == "ScenarioError"
         assert not (tmp_path / "3bus-caseA_modes.csv").exists()
 
     def test_eig_sweep_names_failure_class(self, tmp_path, capsys,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from droope.devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
-                            PowerSharingSpec, SgParams, device_emf_interface,
-                            dq_to_network, droop_e_offset, droop_e_slope,
+                            PowerSharingSpec, SgParams, droop_e_offset,
+                            droop_e_slope,
                             gfm_init_from_terminal, gfm_stator_residual,
                             network_to_dq, sg_derivatives,
                             sg_init_from_terminal, sg_stator_residual,
@@ -149,27 +149,17 @@ class TestGfmModel:
 
 
 class TestEmfInterface:
-    def test_gfm_constants_and_impedance(self):
-        params = GfmDroopEParams(e_d=0.0, e_q=1.03)
-        e_d, e_q, delta, z = device_emf_interface(np.array([0.3, 0.5]), params)
-        assert (e_d, e_q, delta) == (0.0, 1.03, 0.3)
-        assert z == 0.005 + 0.15j
-
-    def test_sg_two_axis(self):
-        params = SgParams()
-        state = np.array([0.7, 377.0, 0.95, 0.31, 1.2, 1.2, 0.02, 0.5, 0.5])
-        e_d, e_q, delta, z = device_emf_interface(state, params)
-        assert (e_d, e_q, delta) == (0.31, 0.95, 0.7)
-        assert z == complex(0.0, params.x_d_p)
+    """``network_to_dq`` against the explicit rotation by ``delta - pi/2``."""
 
     def test_rotation_identity_at_quarter_turn(self):
-        assert dq_to_network(0.3, 0.4, 0.5 * math.pi) == pytest.approx(
-            0.3 + 0.4j)
+        assert network_to_dq(0.3 + 0.4j, 0.5 * math.pi) == pytest.approx(
+            (0.3, 0.4))
 
     def test_round_trip(self):
         ph = 0.8 * np.exp(0.37j)
         f_d, f_q = network_to_dq(ph, 1.1)
-        assert dq_to_network(f_d, f_q, 1.1) == pytest.approx(ph)
+        assert complex(f_d, f_q) * np.exp(1j * (1.1 - 0.5 * math.pi)) == (
+            pytest.approx(ph))
 
 
 class TestPowerSharing:

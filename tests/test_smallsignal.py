@@ -133,6 +133,13 @@ class TestEigenDecompose:
         with pytest.raises(NumericError):
             eigen_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_residual_failure_is_one_line(self):
+        # the message names the worst eigenpair, not the whole matrix
+        a = np.random.default_rng(0).normal(size=(11, 11))
+        with pytest.raises(NumericError, match="at eigenvalue") as err:
+            eigen_decompose(a, residual_tol=0.0)
+        assert "\n" not in str(err.value)
+
 
 class TestParticipation:
     def test_diagonal_matrix_identity(self):

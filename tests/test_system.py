@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from droope.devices import GfmDevice, GfmDroopEParams, SgDevice, SgParams
+from droope.devices import (GfmDevice, GfmDroopEParams, SgDevice, SgParams,
+                            network_to_dq)
 from droope.errors import AlgebraicSolveError
-from droope.network import Branch, Bus, BusKind, NetworkModel, PerUnitBases
+from droope.network import (Branch, Bus, BusKind, NetworkModel, PerUnitBases,
+                            solve_power_flow)
 from droope.scenario import load_scenario
-from droope.system import (PowerSystemDae, find_equilibrium,
-                           solve_network_algebraic)
+from droope.system import PowerSystemDae, find_equilibrium
+from droope.timedomain import TrapezoidalStepper, release_dynamics
 
 
 def test_open_circuit_terminal_equals_internal_voltage():
@@ -17,16 +19,14 @@ def test_open_circuit_terminal_equals_internal_voltage():
                                             e_q=1.02))
     dae = PowerSystemDae(net, [gfm])
     x = np.array([0.1, 0.0])
-    y = solve_network_algebraic(dae, x)
-    theta, v, idq = dae.split_y(y)
-    assert v[0] == pytest.approx(1.02, abs=1e-10)
-    assert theta[0] == pytest.approx(0.1, abs=1e-10)
-    assert np.max(np.abs(idq)) < 1e-10
+    # the open terminal carries no current and sits at the internal EMF
+    y = np.array([0.1, 1.02, 0.0, 0.0])
+    assert np.max(np.abs(dae.g(x, y))) < 1e-12
 
 
 def test_two_bus_phasor_divider_oracle():
-    # stiff machine at bus 1 approximates an ideal source; the solved
-    # current must match the direct complex voltage-divider arithmetic
+    # stiff machine at bus 1 approximates an ideal source; the direct
+    # complex voltage-divider arithmetic must satisfy the algebraic set
     net = NetworkModel(
         buses=(Bus(1, BusKind.SLACK, 1.0), Bus(2, BusKind.DEVICE, 1.02)),
         branches=(Branch(1, 2, 0.05),), loads=(),
@@ -39,16 +39,17 @@ def test_two_bus_phasor_divider_oracle():
     x = np.zeros(11)
     x[0], x[1], x[2], x[3] = 0.0, 377.0, 1.0, 0.0   # E' = 1.0 at angle 0
     x[9], x[10] = 0.1, 0.0                           # inverter angle 0.1
-    y = solve_network_algebraic(dae, x)
-    theta, v, idq = dae.split_y(y)
 
     e_gfm = 1.02 * np.exp(1j * 0.1)
     z_total = 0.005 + 1j * (0.15 + 0.05 + 1e-6)
     i_oracle = (e_gfm - 1.0) / z_total
-    i_solved = complex(idq[2], idq[3]) * np.exp(1j * (x[9] - np.pi / 2))
-    assert i_solved == pytest.approx(i_oracle, abs=1e-9)
+    v1_oracle = 1.0 + 1e-6j * i_oracle   # the machine draws -i_oracle
     v2_oracle = e_gfm - (0.005 + 0.15j) * i_oracle
-    assert v[1] * np.exp(1j * theta[1]) == pytest.approx(v2_oracle, abs=1e-9)
+    v_ph = np.array([v1_oracle, v2_oracle])
+    y = np.concatenate([np.angle(v_ph), np.abs(v_ph),
+                        network_to_dq(-i_oracle, x[0]),
+                        network_to_dq(i_oracle, x[9])])
+    assert np.max(np.abs(dae.g(x, y))) < 1e-12
     # injected power agrees with the reactance-dominated estimate
     p = (e_gfm * np.conj(i_oracle)).real
     assert p == pytest.approx(1.02 * np.sin(0.1) / 0.2, abs=0.03)
@@ -69,21 +70,16 @@ def test_constant_power_load_satisfied(case_a_equilibrium):
     assert -s_net[1] == pytest.approx(0.75 - 0.25j, abs=1e-9)
 
 
-def test_resolve_from_perturbed_guess_matches_settled_trace(trace_case_a):
+def test_settled_trace_satisfies_post_step_network(trace_case_a):
     state = trace_case_a.final_state
     scen = load_scenario("3bus-caseA")
     dae = scen.build_dae()
     # release fixes the inverter's internal voltage constants; the trace's
-    # settled point is only reproducible on an identically released model
-    from droope.network import solve_power_flow
-    from droope.timedomain import release_dynamics
+    # settled point is only consistent with an identically released model
     release_dynamics(dae, solve_power_flow(scen.network, scen.dispatch_map()))
     dae.apply_load_step(2, 0.075, 0.025)
-    rng = np.random.default_rng(3)
-    y0 = state.y + rng.normal(scale=1e-3, size=state.y.shape)
-    y = solve_network_algebraic(dae, state.x, y0)
-    # the trace's own step Newton ran at 1e-9 residual; compare accordingly
-    assert np.max(np.abs(y - state.y)) < 1e-6
+    # the trace's own step Newton ran at 1e-9 residual
+    assert np.max(np.abs(dae.g(state.x, state.y))) < 1e-9
 
 
 def test_power_balance_residual_at_equilibrium(case_a_equilibrium):
@@ -119,13 +115,11 @@ def test_find_equilibrium_pins_gauge(case_a_equilibrium):
 def test_algebraic_collapse_raises():
     scen = load_scenario("3bus-caseA")
     dae = scen.build_dae()
-    from droope.network import solve_power_flow
-    from droope.timedomain import release_dynamics
     pf = solve_power_flow(scen.network, scen.dispatch_map())
     state = release_dynamics(dae, pf)
     dae.apply_load_step(2, 60.0, 20.0)  # far beyond any deliverable power
     with pytest.raises(AlgebraicSolveError):
-        solve_network_algebraic(dae, state.x, state.y, t=1.23)
+        TrapezoidalStepper(dae, 1e-3).step(state, 1e-3)
 
 
 def test_state_labels_follow_declared_order():

@@ -11,9 +11,8 @@ from droope import timedomain
 from droope.errors import InitializationError, ScenarioError, StepError
 from droope.metrics import compute_frequency_stats
 from droope.network import solve_power_flow
-from droope.scenario import load_scenario
-from droope.system import (PowerSystemDae, SystemState,
-                           solve_network_algebraic)
+from droope.scenario import BUILTINS, load_scenario
+from droope.system import PowerSystemDae, SystemState
 from droope.timedomain import (Event, TrapezoidalStepper, release_dynamics,
                                run_case)
 from fd_oracle import OracleJacobian
@@ -385,20 +384,20 @@ class TestStepper:
             errs.append(abs(st.x[0] - math.exp(-1.0)))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.3)
 
-    def test_time_reversal_near_equilibrium(self, case_a_equilibrium):
-        dae, state = case_a_equilibrium
-        dae = load_scenario("3bus-caseA").build_dae()
-        pf = solve_power_flow(load_scenario("3bus-caseA").network,
-                              load_scenario("3bus-caseA").dispatch_map())
+    def test_time_reversal_near_equilibrium(self):
+        scen = load_scenario("3bus-caseA")
+        dae = scen.build_dae()
+        pf = solve_power_flow(scen.network, scen.dispatch_map())
         state = release_dynamics(dae, pf)
         dae.apply_load_step(2, 1e-3, 0.0)
-        y = solve_network_algebraic(dae, state.x, state.y)
         stepper = TrapezoidalStepper(dae, 1e-3, tol=1e-13)
-        x1, y1 = stepper._advance(state.x, y, 1e-3)
+        # one step lands on a point consistent with the stepped load
+        x0, y0 = stepper._advance(state.x, state.y, 1e-3)
+        x1, y1 = stepper._advance(x0, y0, 1e-3)
         stepper.mark_stale()
         x0b, y0b = stepper._advance(x1, y1, -1e-3)
-        assert np.max(np.abs(x0b - state.x)) < 1e-9
-        assert np.max(np.abs(y0b - y)) < 1e-9
+        assert np.max(np.abs(x0b - x0)) < 1e-9
+        assert np.max(np.abs(y0b - y0)) < 1e-9
 
     def test_derivatives_match_integrator_differences_after_step(self):
         # central difference of integrated states brackets the reported
@@ -408,12 +407,13 @@ class TestStepper:
         pf = solve_power_flow(scen.network, scen.dispatch_map())
         state = release_dynamics(dae, pf)
         dae.apply_load_step(2, 0.075, 0.025)
-        state.y = solve_network_algebraic(dae, state.x, state.y)
         h = 1e-5
         stepper = TrapezoidalStepper(dae, h, tol=1e-13)
-        s1 = stepper.step(state, h)
-        s2 = stepper.step(s1, 2 * h)
-        fd = (s2.x - state.x) / (2 * h)
+        # one step lands on a point consistent with the stepped load
+        s0 = stepper.step(state, h)
+        s1 = stepper.step(s0, 2 * h)
+        s2 = stepper.step(s1, 3 * h)
+        fd = (s2.x - s0.x) / (2 * h)
         f_mid = dae.f(s1.x, s1.y)
         scale = np.maximum(1.0, np.abs(f_mid))
         assert np.max(np.abs(fd - f_mid) / scale) < 1e-6
@@ -490,11 +490,18 @@ class TestRelease:
         state = release_dynamics(dae, pf)
         assert state.x[dae.x_offsets[1] + 1] == pytest.approx(0.50, abs=1e-9)
 
-    @pytest.mark.parametrize("p_set", [0.01, 0.02, 0.03, 0.04, 0.05])
-    def test_low_dispatch_nine_bus_releases(self, p_set):
+    # low 9-bus dispatches, then every built-in as defined
+    @pytest.mark.parametrize("name, p_set", [
+        *(pytest.param("9bus-caseC", p, id=str(p))
+          for p in (0.01, 0.02, 0.03, 0.04, 0.05)),
+        *(pytest.param(name, None, id=name) for name in BUILTINS)])
+    def test_low_dispatch_nine_bus_releases(self, name, p_set):
         # the power flow's mismatch is left to the slack set-point; with
-        # every set-point fixed the polish stalled here above 1e-10
-        scen = load_scenario("9bus-caseC").with_gfm_dispatch(p_set)
+        # every set-point fixed the polish stalled at 9-bus dispatches
+        # 0.01-0.05 above 1e-10
+        scen = load_scenario(name)
+        if p_set is not None:
+            scen = scen.with_gfm_dispatch(p_set)
         dae = scen.build_dae()
         pf = solve_power_flow(scen.network, scen.dispatch_map())
         state = release_dynamics(dae, pf)
