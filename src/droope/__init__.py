@@ -2,8 +2,7 @@
 grid-forming inverters with exponential frequency-power droop control."""
 
 from .devices import (GfmDevice, GfmDroopEParams, GfmStaticParams,
-                      PowerSharingSpec, SgDevice, SgParams, droop_e_offset,
-                      static_droop_offset)
+                      PowerSharingSpec, SgDevice, SgParams, droop_e_offset)
 from .errors import (AlgebraicSolveError, DroopeError, InitializationError,
                      NumericError, PowerFlowError, ScenarioError, StepError,
                      TopologyError)

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .devices import droop_e_offset
 from .errors import DroopeError, ScenarioError
 from .metrics import (FrequencyStats, aggregate_inertia,
                       compute_frequency_stats, headroom_csv,
@@ -153,6 +152,7 @@ def cmd_droop_curve(args) -> int:
     if not gfm:
         raise ScenarioError("scenario has no exponential-droop device")
     params = gfm[0].params
+    omega_b = scen.network.bases.base_rad_per_s
     f_nom = scen.f_nominal_hz
     psets = [float(p) for p in args.pset.split(",")]
     out = _out_dir(args)
@@ -161,9 +161,7 @@ def cmd_droop_curve(args) -> int:
         fh.write("p_set,p,f_droop_e_hz,f_static5_hz,below_ufls_59hz\n")
         for p_set in psets:
             for p in np.round(np.arange(0.0, 1.0 + 1e-9, 0.005), 10):
-                f_e = f_nom + droop_e_offset(
-                    p_set, p, params.alpha, params.beta,
-                    params.omega_b) / (2 * math.pi)
+                f_e = f_nom + params.offset(p_set, p, omega_b) / (2 * math.pi)
                 f_s = f_nom - f_nom * 0.05 * (p - p_set)
                 fh.write(",".join([
                     repr(p_set), repr(float(p)), repr(float(f_e)),
@@ -230,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "grid-forming inverters with exponential droop.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, jobs=False):
         if scenario:
             p.add_argument("--scenario", required=True,
                            help=f"path to a scenario JSON or one of "
                                 f"{sorted(BUILTINS)}")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for independent runs")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel workers for independent runs")
 
     p = sub.add_parser("powerflow", help="solve and print the power flow")
     p.add_argument("--scenario", required=True)
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig-sweep",
                        help="eigenvalues over a grid of inverter dispatches")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--from", dest="start", type=float, default=0.01)
     p.add_argument("--to", dest="stop", type=float, default=0.99)
     p.add_argument("--step", type=float, default=0.01)
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_droop_curve)
 
     p = sub.add_parser("report", help="regenerate the study tables")
-    common(p, scenario=False)
+    common(p, scenario=False, jobs=True)
     p.add_argument("--tables", default="I,V,VII",
                    help="comma-separated subset of I,V,VII")
     p.set_defaults(fn=cmd_report)

@@ -78,9 +78,10 @@ class SimConfig:
     rocof_window: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.rocof_window <= 0:
+        if not all(0 < v < math.inf
+                   for v in (self.dt, self.t_end, self.rocof_window)):
             raise ScenarioError(
-                "SimConfig requires dt, t_end and rocof_window > 0")
+                "SimConfig requires finite dt, t_end and rocof_window > 0")
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,9 @@ class Scenario:
                         f"power flow; p_set must be null")
             elif d.p_set is None:
                 raise ScenarioError(f"{where}: non-slack device needs p_set")
+            elif d.kind == GfmDroopEParams.kind and not 0.0 <= d.p_set <= 1.0:
+                raise ScenarioError(f"{where}: exponential-droop dispatch "
+                                    f"p_set={d.p_set} must lie in [0, 1]")
             if not isinstance(d.params, _PARAM_CLASSES[d.kind]):
                 raise ScenarioError(f"{where}: {d.kind} device needs "
                                     f"{_PARAM_CLASSES[d.kind].__name__}")
@@ -141,17 +145,13 @@ class Scenario:
     # -- model construction ------------------------------------------------
 
     def build_dae(self) -> PowerSystemDae:
-        """Fresh device wrappers bound to the network (safe to mutate)."""
+        """Fresh device wrappers bound to the network (safe to mutate);
+        they share the scenario's frozen parameter records."""
         omega = self.network.bases.base_rad_per_s
-        devs = []
-        for d in self.devices:
-            if d.kind == "sg":
-                params = replace(d.params, omega_s=omega)
-                devs.append(SgDevice(d.name, d.bus, params))
-            else:
-                params = replace(d.params, omega_b=omega, omega_set=omega,
-                                 p_set=0.0 if d.p_set is None else d.p_set)
-                devs.append(GfmDevice(d.name, d.bus, params, d.power_sharing))
+        devs = [SgDevice(d.name, d.bus, d.params, omega) if d.kind == "sg"
+                else GfmDevice(d.name, d.bus, d.params, omega, d.p_set,
+                               d.power_sharing)
+                for d in self.devices]
         return PowerSystemDae(self.network, devs, f_nominal_hz=self.f_nominal_hz)
 
     def dispatch_map(self) -> dict[int, float]:
@@ -357,8 +357,8 @@ def _three_bus(name: str, gfm_p_set: float, events: tuple[Event, ...],
         DeviceSpec(name="sg1", bus=1, kind="sg",
                    params=SgParams(rating_mva=100.0)),
         DeviceSpec(name="gfm3", bus=3, kind="gfm_droop_e",
-                   params=GfmDroopEParams(rating_mva=50.0, p_set=gfm_p_set,
-                                          x_gfm=_GFM_X, r_gfm=_GFM_R),
+                   params=GfmDroopEParams(rating_mva=50.0, x_gfm=_GFM_X,
+                                          r_gfm=_GFM_R),
                    p_set=gfm_p_set,
                    power_sharing=PowerSharingSpec(enabled=sharing)),
     )
@@ -423,13 +423,11 @@ def _nine_bus(name: str, gen_kinds: tuple[str, str, str],
         elif kind == "gfm_static":
             spec = DeviceSpec(name=name_g, bus=gen, kind="gfm_static",
                               params=GfmStaticParams(rating_mva=200.0,
-                                                     p_set=p_set,
                                                      x_gfm=_GFM_X, r_gfm=_GFM_R),
                               p_set=p_set)
         else:
             spec = DeviceSpec(name=name_g, bus=gen, kind="gfm_droop_e",
                               params=GfmDroopEParams(rating_mva=200.0,
-                                                     p_set=p_set,
                                                      x_gfm=_GFM_X, r_gfm=_GFM_R),
                               p_set=p_set,
                               power_sharing=PowerSharingSpec(enabled=True))

@@ -51,7 +51,6 @@ class PowerSystemDae:
         self.network = network
         self.devices = list(devices)
         self.f_nominal_hz = f_nominal_hz
-        self.omega_frame = network.bases.base_rad_per_s
 
         ybus = build_admittance(network)
         self.ybus = ybus
@@ -131,7 +130,7 @@ class PowerSystemDae:
         out = []
         for dev, b, lo, hi, i, _ in self._dev_slots:
             out += dev.derivatives(xl[lo:hi], yl[n + b], yl[b], yl[i],
-                                   yl[i + 1], self.omega_frame)
+                                   yl[i + 1])
         return np.array(out)
 
     def g(self, x, y) -> np.ndarray:
@@ -224,10 +223,10 @@ class PowerSystemDae:
                 y[..., b], y[..., 2 * n + 2 * k], y[..., 2 * n + 2 * k + 1])
 
     def device_frequencies_hz(self, x) -> np.ndarray:
-        """Device frequencies in Hz, one column per device."""
-        omega_n = self.network.bases.base_rad_per_s
+        """Device frequencies in Hz, one column per device: nominal plus
+        each device's deviation from the network base speed."""
         dev = np.stack([
-            dev.frequency_deviation(x[..., off:off + dev.n_states], omega_n)
+            dev.frequency_deviation(x[..., off:off + dev.n_states])
             for dev, off in zip(self.devices, self.x_offsets)], axis=-1)
         return self.f_nominal_hz + dev / (2.0 * math.pi)
 

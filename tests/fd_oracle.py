@@ -83,21 +83,21 @@ def relative_error(got, want) -> float:
     return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
 
-def _reference_gfm_derivatives(dev, xs, v_mag, theta, i_d, i_q, omega_frame):
-    """Inverter state derivatives with the droop law on ``np.exp``."""
+def _reference_gfm_derivatives(dev, xs, v_mag, theta, i_d, i_q):
+    """Inverter state derivatives with the droop law on ``np.exp``; the
+    angle moves at the law's offset from the base speed."""
     pr = dev.params
     delta, p_m = xs[0], xs[1]
     v_d, v_q = v_mag * np.sin(delta - theta), v_mag * np.cos(delta - theta)
-    omega_delta = pr.offset(p_m)
-    d_delta = omega_delta + pr.omega_set - omega_frame
+    omega_delta = pr.offset(dev.p_set, p_m, dev.omega_b)
     d_p = (v_d * i_d + v_q * i_q - p_m) / pr.t_fil
     if dev.sharing is None:
-        return np.array([d_delta, d_p])
+        return np.array([omega_delta, d_p])
     ps, omega_ps = dev.sharing, xs[2]
     error = 0.0
     if dev.gate_closed:
-        error = pr.omega_b * ps.d_static * (pr.p_set - p_m) - omega_delta
-    return np.array([d_delta + omega_ps, d_p, ps.k * (error - omega_ps)])
+        error = dev.omega_b * ps.d_static * (dev.p_set - p_m) - omega_delta
+    return np.array([omega_delta + omega_ps, d_p, ps.k * (error - omega_ps)])
 
 
 def reference_f(dae, x, y) -> np.ndarray:
@@ -107,8 +107,7 @@ def reference_f(dae, x, y) -> np.ndarray:
     for k, dev in enumerate(dae.devices):
         b, off = dae.dev_bus[k], dae.x_offsets[k]
         xs = x[off:off + dev.n_states]
-        args = (xs, v[b], theta[b], idq[2 * k], idq[2 * k + 1],
-                dae.omega_frame)
+        args = (xs, v[b], theta[b], idq[2 * k], idq[2 * k + 1])
         if dev.kind == "sg":
             rows = np.array(dev.derivatives(*args))
         else:

@@ -233,11 +233,14 @@ class TestCommandLine:
         assert stats["source"] == "sg"
         assert stats["window_s"] == 0.1
 
-    @pytest.mark.parametrize("flag", ["--dt", "--t-end", "--rocof-window"])
+    @pytest.mark.parametrize("flag, value", [
+        *(pytest.param(f, v, id=f if v == "0" else f"{f}={v}")
+          for v in ("0", "nan", "inf")
+          for f in ("--dt", "--t-end", "--rocof-window"))])
     def test_simulate_zero_override_is_input_error(self, tmp_path, capsys,
-                                                   flag):
+                                                   flag, value):
         args = {"--dt": "0.001", "--t-end": "0.5", "--rocof-window": "0.1"}
-        args[flag] = "0"
+        args[flag] = value
         rc = main(["simulate", "--scenario", "3bus-caseA",
                    "--out", str(tmp_path),
                    *(tok for kv in args.items() for tok in kv)])
@@ -245,6 +248,14 @@ class TestCommandLine:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "input" and err["type"] == "ScenarioError"
         assert not (tmp_path / "3bus-caseA_trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "droop-curve"])
+    def test_jobs_is_a_usage_error_without_parallel_runs(self, tmp_path,
+                                                          command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "3bus-caseA", "--out", str(tmp_path),
+                  "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_simulate_deterministic_output(self, tmp_path):
         outs = []

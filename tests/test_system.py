@@ -15,8 +15,8 @@ def test_open_circuit_terminal_equals_internal_voltage():
     net = NetworkModel(
         buses=(Bus(1, BusKind.SLACK, 1.02),), branches=(), loads=(),
         bases=PerUnitBases(system_mva=100.0))
-    gfm = GfmDevice("g", 1, GfmDroopEParams(rating_mva=100.0, e_d=0.0,
-                                            e_q=1.02))
+    gfm = GfmDevice("g", 1, GfmDroopEParams(rating_mva=100.0), 377.0, None)
+    gfm.e_d, gfm.e_q = 0.0, 1.02
     dae = PowerSystemDae(net, [gfm])
     x = np.array([0.1, 0.0])
     # the open terminal carries no current and sits at the internal EMF
@@ -31,10 +31,11 @@ def test_two_bus_phasor_divider_oracle():
         buses=(Bus(1, BusKind.SLACK, 1.0), Bus(2, BusKind.DEVICE, 1.02)),
         branches=(Branch(1, 2, 0.05),), loads=(),
         bases=PerUnitBases(system_mva=100.0))
-    sg = SgDevice("ib", 1, SgParams(x_d_p=1e-6, x_q_p=1e-6, rating_mva=100.0))
-    gfm = GfmDevice("g", 2, GfmDroopEParams(rating_mva=100.0, e_d=0.0,
-                                            e_q=1.02, x_gfm=0.15,
-                                            r_gfm=0.005))
+    sg = SgDevice("ib", 1, SgParams(x_d_p=1e-6, x_q_p=1e-6, rating_mva=100.0),
+                  377.0)
+    gfm = GfmDevice("g", 2, GfmDroopEParams(rating_mva=100.0, x_gfm=0.15,
+                                            r_gfm=0.005), 377.0, 0.0)
+    gfm.e_d, gfm.e_q = 0.0, 1.02
     dae = PowerSystemDae(net, [sg, gfm])
     x = np.zeros(11)
     x[0], x[1], x[2], x[3] = 0.0, 377.0, 1.0, 0.0   # E' = 1.0 at angle 0

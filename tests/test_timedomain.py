@@ -8,9 +8,10 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from droope import timedomain
+from droope.devices import GfmStaticParams
 from droope.errors import InitializationError, ScenarioError, StepError
 from droope.metrics import compute_frequency_stats
-from droope.network import solve_power_flow
+from droope.network import BusKind, solve_power_flow
 from droope.scenario import BUILTINS, load_scenario
 from droope.system import PowerSystemDae, SystemState
 from droope.timedomain import (Event, TrapezoidalStepper, release_dynamics,
@@ -519,11 +520,76 @@ class TestRelease:
             release_dynamics(dae, dataclasses.replace(pf,
                                                       injections=injections))
 
+    @staticmethod
+    def slack_inverter(kind):
+        """3bus-caseB with the slack moved to the inverter's bus 3 and the
+        inverter's law set by ``kind``."""
+        scen = load_scenario("3bus-caseB")
+        sg, gfm = scen.devices
+        params = gfm.params
+        if kind == "gfm_static":
+            params = GfmStaticParams(x_gfm=params.x_gfm, r_gfm=params.r_gfm,
+                                     rating_mva=params.rating_mva)
+        b1, b2, b3 = scen.network.buses
+        network = dataclasses.replace(scen.network, buses=(
+            dataclasses.replace(b1, kind=BusKind.DEVICE), b2,
+            dataclasses.replace(b3, kind=BusKind.SLACK)))
+        return dataclasses.replace(scen, network=network, devices=(
+            dataclasses.replace(sg, p_set=0.5),
+            dataclasses.replace(gfm, kind=kind, params=params, p_set=None)))
+
+    @pytest.mark.parametrize("kind", ["gfm_droop_e", "gfm_static"])
+    def test_inverter_at_the_slack_releases(self, kind):
+        # the slack inverter back-solves its dispatch from the power flow
+        scen = self.slack_inverter(kind)
+        dae = scen.build_dae()
+        pf = solve_power_flow(scen.network, scen.dispatch_map())
+        state = release_dynamics(dae, pf)
+        assert np.max(np.abs(dae.full_residual(state.x, state.y))) < 1e-10
+        gfm = dae.devices[1]
+        assert gfm.p_set == pytest.approx(
+            pf.injections[3].real / dae.dev_ratio[1], abs=1e-6)
+        assert state.x[dae.x_offsets[1] + 1] == pytest.approx(gfm.p_set,
+                                                             abs=1e-9)
+        trace = run_case(scen, t_end=1.5)
+        assert np.max(np.abs(trace.balance_residual)) < 1e-8
+
+    @pytest.mark.parametrize("name", ["3bus-caseB", "3bus-sharing",
+                                      "9bus-caseB"])
+    def test_every_param_field_reaches_the_released_model(self, name):
+        # a 1 % change of a parameter that neither the released point nor
+        # its Jacobian sees marks a field the model overwrites or ignores
+        def released(scen):
+            dae = scen.build_dae()
+            pf = solve_power_flow(scen.network, scen.dispatch_map())
+            state = release_dynamics(dae, pf)
+            return (np.concatenate([state.x, state.y]),
+                    dae.jacobian(state.x, state.y))
+
+        scen = load_scenario(name)
+        z0, jac0 = released(scen)
+        inert = []
+        for k, d in enumerate(scen.devices):
+            for field in dataclasses.fields(d.params):
+                value = getattr(d.params, field.name)
+                if not isinstance(value, float):
+                    continue
+                params = dataclasses.replace(
+                    d.params, **{field.name: 1.01 * value if value else 0.01})
+                devices = list(scen.devices)
+                devices[k] = dataclasses.replace(d, params=params)
+                z, jac = released(dataclasses.replace(scen,
+                                                      devices=tuple(devices)))
+                if np.array_equal(z, z0) and np.array_equal(jac, jac0):
+                    inert.append(f"{d.name}.{field.name}")
+        assert inert == []
+
     def test_infeasible_backsolve_raises(self):
         # deep under-excitation demands a negative field voltage
-        from droope.devices import SgParams, sg_init_from_terminal
+        from droope.devices import SgDevice, SgParams
         with pytest.raises(InitializationError):
-            sg_init_from_terminal(1.0 + 0j, complex(0.0, -0.78), SgParams())
+            SgDevice("g", 1, SgParams(), 377.0).initialize(
+                1.0 + 0j, complex(0.0, -0.78))
 
 
 class TestRunCase:
