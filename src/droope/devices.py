@@ -417,6 +417,9 @@ class GfmDevice:
         self.e_d, self.e_q = 0.0, float(np.abs(e_ph))
         if self.p_set is None:
             self.p_set = float(s_dev.real)
+            if self.kind == GfmDroopEParams.kind and not 0 <= self.p_set <= 1:
+                raise InitializationError(f"{self.name}: droop-e p_set "
+                                          f"{self.p_set:.4f} outside [0, 1]")
         self.gate_closed = False
         self.p_ref = None
         state = [float(np.angle(e_ph)), float(s_dev.real)]

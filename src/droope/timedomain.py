@@ -59,6 +59,9 @@ class SimulationTrace:
     name: str = ""
     balance_residual: np.ndarray = field(default=None)
     final_state: "SystemState" = None
+    steps: int = 0             # the stepper's steps, Newton solves and
+    solves: int = 0            # Newton-matrix refreshes by cause
+    refreshes: dict[str, int] = field(default_factory=dict)
 
     def device_index(self, name: str) -> int:
         return self.dev_names.index(name)
@@ -122,12 +125,9 @@ def lu_solve(lu_and_piv, b) -> np.ndarray:
 class TrapezoidalStepper:
     """Simultaneous trapezoidal/Newton integrator with a reused Jacobian.
 
-    Newton starts the states at the explicit Euler point and the algebraic
-    unknowns at the linear extrapolation ``2*y0 - y_prev`` through the last
-    two accepted grid points.  It falls back to ``y0`` when there is no such
-    pair at the current ``dt``: on the first step, after ``mark_stale()`` (a
-    load event), inside and after step halving, and when the step does not
-    continue from the state the previous step returned.
+    Newton starts from a ``_Predictor``, restarted on the first step, after
+    ``mark_stale()`` (a load event), inside and after a halved step, when
+    ``dt`` changes and when a step starts from a state it did not return.
 
     The derivative ``f(x1, y1)`` evaluated at a converged Newton iterate is
     kept and reused as ``f0`` when the next step starts from exactly that
@@ -151,12 +151,12 @@ class TrapezoidalStepper:
         self._lu = None
         self._jac_dt = None
         self._stale = "stale"  # why the next step refreshes, or None
-        self._history = None   # (dt, y0, y1) of the last accepted full step
+        self._pred = None      # _Predictor after the last accepted full step
         self._f_end = None     # (x1, y1, f(x1, y1)) of the last converged step
 
     def mark_stale(self) -> None:
         self._stale = "stale"
-        self._history = None
+        self._pred = None
         self._f_end = None
 
     def _refresh_jacobian(self, x, y, dt, cause) -> None:
@@ -174,21 +174,21 @@ class TrapezoidalStepper:
         self._jac_dt = dt
         self._stale = None
 
-    def _advance(self, x0, y0, dt, y_prev=None):
+    def _advance(self, x0, y0, dt, pred=None):
         """One trapezoidal step of size dt; returns (x1, y1).
 
-        ``y_prev`` is the algebraic vector one step of the same ``dt``
-        before ``y0``; when given, Newton starts from the extrapolation.
-        The Newton matrix follows the contraction rate ``theta_k = |r_k| /
-        |r_(k-1)|`` of the residual's infinity norm (Hairer & Wanner,
-        *Solving ODEs II*, IV.8): a step whose iterate stops contracting,
-        or whose rate puts ``tol`` out of reach within ``max_newton``
-        solves, refreshes it once at the current iterate (``diverging``); a
-        step of two or more solves that ends above ``_THETA_REFRESH`` marks
-        it stale for the next step (``slow``; a one-solve step spent the
-        least a refresh could buy).  Raises StepError carrying the worst
-        residual norm when Newton does not converge or the residual is not
-        finite (a float overflow in the model counts as infinite).
+        ``pred`` (a fresh ``_Predictor`` when None) gives Newton's start and
+        takes the accepted point.  The Newton matrix follows the contraction
+        rate ``theta_k = |r_k| / |r_(k-1)|`` of the residual's infinity norm
+        (Hairer & Wanner, *Solving ODEs II*, IV.8): a step whose iterate
+        stops contracting, or whose rate puts ``tol`` out of reach within
+        ``max_newton`` solves, refreshes it once at the current iterate
+        (``diverging``); a step of two or more solves that ends above
+        ``_THETA_REFRESH`` marks it stale for the next step (``slow``; a
+        one-solve step spent the least a refresh could buy).  Raises
+        StepError carrying the worst residual norm when Newton does not
+        converge or the residual is not finite (a float overflow in the
+        model counts as infinite).
         """
         dae = self.dae
         n_x = dae.n_x
@@ -201,8 +201,8 @@ class TrapezoidalStepper:
             cause = self._stale or ("dt" if self._jac_dt != dt else None)
             if cause:
                 self._refresh_jacobian(x0, y0, dt, cause)
-            x1 = x0 + dt * f0
-            y1 = y0.copy() if y_prev is None else 2.0 * y0 - y_prev
+            pred = _Predictor(dt, y0) if pred is None else pred
+            x1, y1 = pred.start(x0, y0, f0)
             rebuilt = False
             worst = prev = theta = 0.0
             for it in range(2 * self.max_newton):
@@ -216,6 +216,7 @@ class TrapezoidalStepper:
                     if it > 1 and theta > _THETA_REFRESH:
                         self._stale = "slow"
                     self._f_end = (x1, y1, f1)
+                    pred.add(y1, f0, it > 0)
                     return x1, y1
                 if not math.isfinite(norm):
                     raise StepError("non-finite residual",
@@ -239,16 +240,16 @@ class TrapezoidalStepper:
         """Advance one grid interval to time ``t1``, halving the internal
         dt on failure."""
         x, y = state.x, state.y
-        hist = self._history
-        y_prev = (hist[1] if hist is not None and hist[0] == self.dt
-                  and hist[2] is y else None)
+        pred = self._pred
+        if pred is None or pred.dt != self.dt or pred.y is not y:
+            pred = _Predictor(self.dt, y)
         n_sub = 1
         for _ in range(5):
             xs, ys = x, y
             try:
                 for _ in range(n_sub):
                     xs, ys = self._advance(xs, ys, self.dt / n_sub,
-                                           y_prev if n_sub == 1 else None)
+                                           pred if n_sub == 1 else None)
             except StepError as exc:
                 failure = exc
                 n_sub *= 2
@@ -256,12 +257,45 @@ class TrapezoidalStepper:
                 continue
             if n_sub > 1:
                 self._stale = "halving"
-            self._history = (self.dt, y, ys) if n_sub == 1 else None
+            self._pred = pred
             return SystemState(xs, ys, t1)
         raise StepError(
             f"Newton failed at t={state.t:.6f}s even at dt/{n_sub // 2}: "
             f"{failure}, residual {failure.residual:.3e}",
             t=state.t, residual=failure.residual)
+
+
+class _Predictor:
+    """Newton's start for steps of one ``dt`` that continue from ``y``: for
+    the states second-order Adams-Bashforth, ``x0 + dt*(1.5*f0 - 0.5*f_prev)``
+    (explicit Euler on the first step), for the algebraic unknowns the
+    quadratic through the last three grid points Newton corrected (the first
+    point counts; with fewer it is ``2*y0 - y_prev`` or ``y0``), held as
+    forward differences ``dy`` and ``d2y``.  A point accepted at its own
+    prediction lies on it already; as a node it would feed its residual (up
+    to ``tol``) into the next start.  Brenan, Campbell & Petzold, DASSL.
+    """
+
+    def __init__(self, dt, y):
+        self.dt, self.y, self.f_prev = dt, y, None
+        self.k, self.node, self.k_a, self.dd = 0, (0, y), None, None
+        self.dy = self.d2y = 0.0
+
+    def start(self, x0, y0, f0):
+        h, f_prev = 0.5 * self.dt, (f0 if self.f_prev is None else self.f_prev)
+        return x0 + (3.0 * h) * f0 - h * f_prev, y0 + self.dy
+
+    def add(self, y1, f0, corrected):
+        """Take the accepted point ``y1``; a corrected one becomes a node."""
+        self.k, self.y, self.f_prev = self.k + 1, y1, f0
+        if not corrected:
+            self.dy = self.dy + self.d2y
+            return
+        (k_b, y_b), k = self.node, self.k
+        dd = (y1 - y_b) / (k - k_b)
+        dd2 = 0.0 if self.dd is None else (dd - self.dd) / (k - self.k_a)
+        self.dy, self.d2y = dd + (k + 1 - k_b) * dd2, 2.0 * dd2
+        self.node, self.k_a, self.dd = (k, y1), k_b, dd
 
 
 def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:
@@ -367,8 +401,10 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
             stepper.mark_stale()
         recorder.add(state)
     recorder.flush()
+    tr.steps, tr.solves = n_steps, stepper.solves
+    tr.refreshes = dict(stepper.refreshes)
     log.info("%s: %d steps, %d Newton solves, Newton-matrix refreshes %s",
-             scenario.name, n_steps, stepper.solves, dict(stepper.refreshes))
+             scenario.name, tr.steps, tr.solves, tr.refreshes)
     event_log.sort(key=lambda ev: ev.t)
     tr.final_state = state
     return tr

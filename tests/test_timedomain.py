@@ -89,6 +89,46 @@ class DriftOde(OracleJacobian):
         return np.zeros(0)
 
 
+class SineDae:
+    """ds/dt = 1, dz/dt = y and 0 = y - sin(s): the algebraic unknown
+    follows a known smooth path, and f moves with it.  The Jacobian is
+    analytic, so ``g`` runs only on Newton iterates, each logged in
+    ``iterates``; ``poison`` makes that many f calls NaN."""
+
+    n_x, n_y = 2, 1
+    poison = 0
+
+    def __init__(self):
+        self.iterates = []
+
+    def f(self, x, y):
+        if self.poison:
+            self.poison -= 1
+            return np.full(2, np.nan)
+        return np.array([1.0, y[0]])
+
+    def g(self, x, y):
+        self.iterates.append((x.copy(), y.copy()))
+        return y - np.sin(x[:1])
+
+    def jacobian(self, x, y):
+        return np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                         [-math.cos(x[0]), 0.0, 1.0]])
+
+
+def polynomial_at(nodes, k):
+    """Value at step ``k`` of the Lagrange polynomial through the
+    ``(step, y)`` nodes."""
+    total = 0.0
+    for i, (k_i, y_i) in enumerate(nodes):
+        weight = 1.0
+        for j, (k_j, _) in enumerate(nodes):
+            if j != i:
+                weight *= (k - k_j) / (k_i - k_j)
+        total = total + weight * y_i
+    return total
+
+
 @pytest.fixture
 def newton_solves(monkeypatch):
     """Per-call log of the stepper's LU solves."""
@@ -154,6 +194,78 @@ class TestPredictor:
                                 newton_solves, 2)
         _, counts = solves_per_step(stepper, st.copy(), newton_solves, 2)
         assert counts == [1, 0]
+
+
+class TestPredictorRule:
+    """Newton's start on SineDae, recomputed from the accepted points.  At
+    dt = 1e-3 and tol = 3e-9 the steps alternate between one solve and
+    none, so some starts follow a point accepted at its prediction."""
+
+    DT, TOL = 1e-3, 3e-9
+
+    def start(self):
+        dae = SineDae()
+        stepper = TrapezoidalStepper(dae, self.DT, tol=self.TOL)
+        return dae, stepper, SystemState(np.array([0.3, 0.0]), np.sin([0.3]))
+
+    def test_quadratic_through_corrected_points_and_adams_bashforth(
+            self, newton_solves):
+        dae, stepper, st = self.start()
+        nodes = [(0, st.y)]      # the first point of a history counts
+        accepted, f_prev = [st.y], None
+        discriminating = 0
+        for k in range(1, 41):
+            dae.iterates.clear()
+            before = len(newton_solves)
+            x0, f0 = st.x, dae.f(st.x, st.y)
+            st = stepper.step(st, k * self.DT)
+            x_start, y_start = dae.iterates[0]
+            rate = f0 if f_prev is None else 1.5 * f0 - 0.5 * f_prev
+            np.testing.assert_allclose(x_start, x0 + self.DT * rate,
+                                       rtol=0, atol=1e-15)
+            want = polynomial_at(nodes[-3:], k)
+            np.testing.assert_allclose(y_start, want, rtol=0, atol=1e-14)
+            # the quadratic through the last three accepted points instead
+            adjacent = polynomial_at(list(enumerate(accepted))[-3:], k)
+            if len(nodes) >= 3 and k - 1 != nodes[-1][0]:
+                discriminating += abs(adjacent - want)[0] > 1e-11
+            if len(newton_solves) > before:
+                nodes.append((k, st.y))
+            else:
+                assert np.array_equal(st.y, y_start)
+            accepted.append(st.y)
+            f_prev = f0
+        # starts after a point accepted at its prediction, where the last
+        # three points would have given another start
+        assert discriminating >= 10
+        assert 10 <= len(nodes) <= 35
+
+    @pytest.mark.parametrize("restart", ["mark_stale", "halving"])
+    def test_falls_back_to_euler_and_y0(self, restart):
+        dae, stepper, st = self.start()
+        for k in range(1, 6):
+            st = stepper.step(st, k * self.DT)
+        if restart == "mark_stale":
+            stepper.mark_stale()
+        else:
+            dae.poison = 1   # the full-dt attempt fails, the halves succeed
+            dae.iterates.clear()
+            before = st
+            st = stepper.step(st, 6 * self.DT)
+            assert stepper.refreshes["halving"] == 1
+            # the first half starts afresh at dt/2
+            x_half, y_half = dae.iterates[1]
+            np.testing.assert_allclose(
+                x_half, before.x + 0.5 * self.DT * dae.f(before.x, before.y),
+                rtol=0, atol=1e-15)
+            assert np.array_equal(y_half, before.y)
+        dae.iterates.clear()
+        x0, y0 = st.x, st.y
+        stepper.step(st, st.t + self.DT)
+        x_start, y_start = dae.iterates[0]
+        np.testing.assert_allclose(x_start, x0 + self.DT * dae.f(x0, y0),
+                                   rtol=0, atol=1e-15)
+        assert np.array_equal(y_start, y0)
 
 
 @pytest.fixture
@@ -237,10 +349,10 @@ class TestCarriedDerivative:
         assert [k for k, n in enumerate(fresh) if n] == [0, load, gate]
 
 
-def run_case_per_sample(scen, t_end):
+def run_case_per_sample(scen, t_end, tol=1e-9):
     """``run_case`` as it was before block observation: each accepted state
-    observed on its own right after its step.  Returns the observed series
-    by name."""
+    observed on its own right after its step, Newton converged below
+    ``tol``.  Returns the observed series by name."""
     dae = scen.build_dae()
     dt = scen.sim.dt
     state = release_dynamics(
@@ -262,7 +374,7 @@ def run_case_per_sample(scen, t_end):
         out["balance_residual"].append(
             dae.power_balance_residual(state.x, state.y))
 
-    stepper = TrapezoidalStepper(dae, dt)
+    stepper = TrapezoidalStepper(dae, dt, tol=tol)
     record(state)
     for k in range(int(round(t_end / dt))):
         ev = load_steps.get(k)
@@ -521,9 +633,9 @@ class TestRelease:
                                                       injections=injections))
 
     @staticmethod
-    def slack_inverter(kind):
-        """3bus-caseB with the slack moved to the inverter's bus 3 and the
-        inverter's law set by ``kind``."""
+    def slack_inverter(kind, sg_p_set=0.5):
+        """3bus-caseB with the slack moved to the inverter's bus 3, the
+        inverter's law set by ``kind`` and the machine at ``sg_p_set``."""
         scen = load_scenario("3bus-caseB")
         sg, gfm = scen.devices
         params = gfm.params
@@ -535,7 +647,7 @@ class TestRelease:
             dataclasses.replace(b1, kind=BusKind.DEVICE), b2,
             dataclasses.replace(b3, kind=BusKind.SLACK)))
         return dataclasses.replace(scen, network=network, devices=(
-            dataclasses.replace(sg, p_set=0.5),
+            dataclasses.replace(sg, p_set=sg_p_set),
             dataclasses.replace(gfm, kind=kind, params=params, p_set=None)))
 
     @pytest.mark.parametrize("kind", ["gfm_droop_e", "gfm_static"])
@@ -553,6 +665,23 @@ class TestRelease:
                                                              abs=1e-9)
         trace = run_case(scen, t_end=1.5)
         assert np.max(np.abs(trace.balance_residual)) < 1e-8
+
+    # the machine at 0.05 leaves the inverter 1.40 device pu, at 0.9 -0.30
+    @pytest.mark.parametrize("kind, sg_p_set, error", [
+        ("gfm_droop_e", 0.05, "1.4000"), ("gfm_droop_e", 0.9, "-0.3000"),
+        ("gfm_static", 0.05, None), ("gfm_static", 0.9, None)])
+    def test_slack_inverter_dispatch_range(self, kind, sg_p_set, error):
+        # a back-solved droop-e dispatch is held to the range a given one
+        # is; the linear law has none
+        scen = self.slack_inverter(kind, sg_p_set)
+        dae = scen.build_dae()
+        pf = solve_power_flow(scen.network, scen.dispatch_map())
+        if error is None:
+            release_dynamics(dae, pf)
+            return
+        with pytest.raises(InitializationError,
+                           match=rf"gfm3: droop-e p_set {error} outside"):
+            release_dynamics(dae, pf)
 
     @pytest.mark.parametrize("name", ["3bus-caseB", "3bus-sharing",
                                       "9bus-caseB"])
@@ -653,6 +782,34 @@ class TestRunCase:
                    if "Newton solves" in r.getMessage()]
         assert len(counted) == 1
         assert f" {len(newton_solves)} Newton solves" in counted[0]
+        # the trace carries the counts the log line reads
+        assert (tr.steps, tr.solves) == (len(tr.t) - 1, len(newton_solves))
+        assert counted[0].endswith(f": {tr.steps} steps, {tr.solves} Newton "
+                                   f"solves, Newton-matrix refreshes "
+                                   f"{tr.refreshes}")
+
+    # a start by Euler and the linear y extrapolation took 0.81 (3bus-caseB)
+    # and 1.10 (3bus-sharing) solves per step, and 50 and 506 refreshes
+    @pytest.mark.parametrize("fixture, refreshes", [
+        ("trace_case_b", 50), ("trace_sharing", 506)])
+    def test_third_order_start_needs_few_solves(self, fixture, refreshes,
+                                                request):
+        tr = request.getfixturevalue(fixture)
+        assert tr.steps == len(tr.t) - 1
+        assert tr.solves / tr.steps <= 0.4
+        assert 1 <= tr.refreshes["stale"] and tr.refreshes.get("dt", 0) == 0
+        assert sum(tr.refreshes.values()) < refreshes
+
+    def test_sharing_within_newton_noise_of_a_tight_tolerance(self):
+        # Newton stops below tol = 1e-9 from any start; each column must stay
+        # as close to a tol = 1e-12 run as the first-order start's did
+        scen = load_scenario("3bus-sharing")
+        tr = run_case(scen, t_end=5.0)
+        ref = run_case_per_sample(scen, 5.0, tol=1e-12)
+        for key in ("freq_hz", "p_dev", "p_sys", "v", "theta"):
+            np.testing.assert_allclose(getattr(tr, key), ref[key], rtol=0,
+                                       atol=2e-7, err_msg=key)
+        assert np.max(np.abs(tr.balance_residual)) < 1e-8
 
     def test_power_balance_every_step(self, trace_case_a):
         assert np.max(np.abs(trace_case_a.balance_residual)) < 1e-6
