@@ -113,6 +113,10 @@ def cmd_simulate(args) -> int:
     source = args.freq_source or _frequency_source(scen)
     st = _stats_from_trace(trace, scen, source)
     payload = _stats_payload(scen.name, st, source)
+    payload["solver"] = {"steps": trace.steps, "solves": trace.solves,
+                         "refreshes": trace.refreshes,
+                         "halvings": trace.halvings,
+                         "worst_residual": trace.worst_residual}
     stats_path = out / f"{scen.name}_stats.json"
     stats_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

@@ -213,6 +213,15 @@ def solve_power_flow(
         ds = s_spec - power_injections(ybus, v, theta)
         return np.concatenate([ds.real[non_slack], ds.imag[pq]])
 
+    # Flat indices of the Jacobian's entries in the float view (2, n, 2n)
+    # of the stacked partials, [d/dangle or d/dmagnitude, bus, 2 * bus +
+    # imag]: the Q rows (at pq) read imaginary parts, the magnitude columns
+    # (at pq) d/dmagnitude; the P rows and angle columns are at non_slack.
+    buses = np.array(non_slack + pq)
+    second = np.arange(len(buses)) >= len(non_slack)
+    index = ((second * n + buses[:, None]) * (2 * n)
+             + 2 * buses + second[:, None])
+
     f = mismatch_vec(v, theta)
     it = 0
     while np.max(np.abs(f)) >= tol:
@@ -228,12 +237,7 @@ def solve_power_flow(
         di = np.diag(ibus)
         ds_dva = 1j * dv @ np.conj(di - ybus @ dv)
         ds_dvm = dv @ np.conj(ybus @ dvn) + np.conj(di) @ dvn
-        jac = np.block([
-            [ds_dva.real[np.ix_(non_slack, non_slack)],
-             ds_dvm.real[np.ix_(non_slack, pq)]],
-            [ds_dva.imag[np.ix_(pq, non_slack)],
-             ds_dvm.imag[np.ix_(pq, pq)]],
-        ])
+        jac = np.stack((ds_dva, ds_dvm)).view(float).take(index)
         dx = np.linalg.solve(jac, f)
         theta[non_slack] += dx[:len(non_slack)]
         v[pq] += dx[len(non_slack):]

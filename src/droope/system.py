@@ -19,6 +19,7 @@ per-call overhead, not arithmetic, is the cost.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ class PowerSystemDae:
 
         ybus = build_admittance(network)
         self.ybus = ybus
+        self._neg_ybus = -ybus
         self._g = np.ascontiguousarray(ybus.real)
         self._b = np.ascontiguousarray(ybus.imag)
 
@@ -136,9 +138,12 @@ class PowerSystemDae:
     def g(self, x, y) -> np.ndarray:
         """Algebraic residuals: bus current balance plus stator equations."""
         n = self.n_bus
-        v_ph = y[n:2 * n] * np.exp(1j * y[:n])
-        cur = -(self.ybus @ v_ph) - np.conj(self.s_load / v_ph)
         xl, yl = x.tolist(), y.tolist()
+        v_ph = [cmath.rect(r, phi) for r, phi in zip(yl[n:2 * n], yl[:n])]
+        cur = self._neg_ybus.dot(v_ph).tolist()
+        for b, s in enumerate(self.s_load.tolist()):
+            if s:
+                cur[b] -= (s / v_ph[b]).conjugate()
         stator = []
         for dev, b, lo, hi, i, c in self._dev_slots:
             xs = xl[lo:hi]
@@ -146,7 +151,8 @@ class PowerSystemDae:
             cur[b] += c * complex(i_d, i_q) * complex(math.sin(xs[0]),
                                                        -math.cos(xs[0]))
             stator += dev.stator_residual(xs, yl[n + b], yl[b], i_d, i_q)
-        return np.concatenate((cur.real, cur.imag, stator))
+        return np.array([z.real for z in cur] + [z.imag for z in cur]
+                        + stator)
 
     def full_residual(self, x, y) -> np.ndarray:
         return np.concatenate([self.f(x, y), self.g(x, y)])

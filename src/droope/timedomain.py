@@ -59,9 +59,13 @@ class SimulationTrace:
     name: str = ""
     balance_residual: np.ndarray = field(default=None)
     final_state: "SystemState" = None
-    steps: int = 0             # the stepper's steps, Newton solves and
-    solves: int = 0            # Newton-matrix refreshes by cause
+    # the stepper's steps, Newton solves, Newton-matrix refreshes by cause,
+    # step halvings and largest accepted residual norm
+    steps: int = 0
+    solves: int = 0
     refreshes: dict[str, int] = field(default_factory=dict)
+    halvings: int = 0
+    worst_residual: float = 0.0
 
     def device_index(self, name: str) -> int:
         return self.dev_names.index(name)
@@ -135,9 +139,11 @@ class TrapezoidalStepper:
     ``mark_stale()`` drops it along with the Jacobian whenever the model
     changes between steps.
 
-    ``solves`` counts the Newton solves and ``refreshes`` the Newton-matrix
+    ``solves`` counts the Newton solves, ``refreshes`` the Newton-matrix
     factorizations by cause: ``stale`` (first step or ``mark_stale()``),
-    ``dt``, ``halving``, ``slow`` and ``diverging`` (see ``_advance``).
+    ``dt``, ``halving``, ``slow`` and ``diverging`` (see ``_advance``),
+    ``halvings`` the times ``step`` halved its internal dt, and
+    ``worst_residual`` is the largest residual norm Newton accepted.
     """
 
     def __init__(self, dae: PowerSystemDae, dt: float, tol: float = 1e-9,
@@ -148,6 +154,8 @@ class TrapezoidalStepper:
         self.max_newton = max_newton
         self.solves = 0
         self.refreshes = Counter()
+        self.halvings = 0
+        self.worst_residual = 0.0
         self._lu = None
         self._jac_dt = None
         self._stale = "stale"  # why the next step refreshes, or None
@@ -203,18 +211,21 @@ class TrapezoidalStepper:
                 self._refresh_jacobian(x0, y0, dt, cause)
             pred = _Predictor(dt, y0) if pred is None else pred
             x1, y1 = pred.start(x0, y0, f0)
+            h = 0.5 * dt
+            base = x0 + h * f0   # the step constant of the trapezoidal rule
             rebuilt = False
             worst = prev = theta = 0.0
             for it in range(2 * self.max_newton):
                 f1 = dae.f(x1, y1)
-                res = np.concatenate([x1 - x0 - 0.5 * dt * (f0 + f1),
-                                      dae.g(x1, y1)])
-                norm = np.abs(res).max()
+                res = np.concatenate((x1 - base - h * f1, dae.g(x1, y1)))
+                norm = np.maximum.reduce(np.abs(res))
                 if it:
                     theta = norm / prev
                 if norm < self.tol:
                     if it > 1 and theta > _THETA_REFRESH:
                         self._stale = "slow"
+                    if norm > self.worst_residual:
+                        self.worst_residual = float(norm)
                     self._f_end = (x1, y1, f1)
                     pred.add(y1, f0, it > 0)
                     return x1, y1
@@ -253,6 +264,7 @@ class TrapezoidalStepper:
             except StepError as exc:
                 failure = exc
                 n_sub *= 2
+                self.halvings += 1
                 self._stale = "halving"
                 continue
             if n_sub > 1:
@@ -333,29 +345,35 @@ def release_dynamics(dae: PowerSystemDae, pf: PowerFlowSolution) -> SystemState:
     return SystemState(x, y, 0.0)
 
 
-def _grid_index(t: float, dt: float) -> int:
-    k = round(t / dt)
-    if abs(t - k * dt) > 1e-9:
-        raise ScenarioError(f"event at t={t} does not fall on the {dt}s grid")
-    return k
+def _grid_index(t: float, dt: float, what: str) -> int:
+    """The grid index of time ``t``; ScenarioError, naming ``what``, if
+    ``t`` is off the ``dt`` grid."""
+    k = t / dt
+    if not math.isfinite(k) or abs(t - round(k) * dt) > 1e-9:
+        raise ScenarioError(f"{what}={t} does not fall on the dt={dt}s grid")
+    return round(k)
 
 
 def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
     """Initialize from power flow, release dynamics and integrate events.
 
     ``scenario`` is a Scenario (see droope.scenario); ``events``, ``t_end``
-    and ``dt`` default to the scenario's own definitions.  Accepted states
-    and logged events carry the grid times of ``SimulationTrace.t``.
+    and ``dt`` default to the scenario's own definitions; ``t_end`` must
+    lie on the ``dt`` grid and give at least one step, or ScenarioError is
+    raised.  Accepted states and logged events carry the grid times of
+    ``SimulationTrace.t``.
     """
     dae = scenario.build_dae()
     dt = scenario.sim.dt if dt is None else dt
     t_end = scenario.sim.t_end if t_end is None else t_end
     events = list(scenario.events) if events is None else list(events)
 
+    n_steps = _grid_index(t_end, dt, "t_end")
+    if n_steps < 1:
+        raise ScenarioError(f"t_end={t_end} gives no step of dt={dt}s")
+
     pf = solve_power_flow(scenario.network, scenario.dispatch_map())
     state = release_dynamics(dae, pf)
-
-    n_steps = int(round(t_end / dt))
     event_log: list[Event] = [Event(t=0.0, kind="release_dynamics")]
     pending: dict[int, list[Event]] = {}
     for ev in events:
@@ -363,7 +381,7 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
             continue  # release happens at t=0 regardless
         if ev.kind != "load_step":
             raise ScenarioError(f"unsupported scheduled event kind {ev.kind!r}")
-        pending.setdefault(_grid_index(ev.t, dt), []).append(ev)
+        pending.setdefault(_grid_index(ev.t, dt, "event at t"), []).append(ev)
 
     n_dev, n_bus = len(dae.devices), dae.n_bus
     tr = SimulationTrace(
@@ -384,8 +402,8 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
 
     log.info("simulating %s: %d devices, dt=%gs, t_end=%gs",
              scenario.name, n_dev, dt, t_end)
-    sharing = [k for k, dev in enumerate(dae.devices)
-               if isinstance(dev, GfmDevice) and dev.sharing is not None]
+    open_gates = [k for k, dev in enumerate(dae.devices)
+                  if isinstance(dev, GfmDevice) and dev.sharing is not None]
     stepper = TrapezoidalStepper(dae, dt)
     recorder = _TraceRecorder(tr, dae)
     recorder.add(state)
@@ -395,37 +413,42 @@ def run_case(scenario, events=None, t_end=None, dt=None) -> SimulationTrace:
                 recorder.flush()   # observe earlier samples at their load
                 dae.apply_load_step(ev.bus, ev.dp, ev.dq)
                 stepper.mark_stale()
-            event_log.append(replace(ev, t=float(tr.t[k])))
-        state = stepper.step(state, float(tr.t[k + 1]))
-        if _update_sharing(dae, sharing, state, event_log):
+            event_log.append(replace(ev, t=k * dt))
+        state = stepper.step(state, (k + 1) * dt)
+        if open_gates and _update_sharing(dae, open_gates, state, event_log):
             stepper.mark_stale()
         recorder.add(state)
     recorder.flush()
     tr.steps, tr.solves = n_steps, stepper.solves
     tr.refreshes = dict(stepper.refreshes)
-    log.info("%s: %d steps, %d Newton solves, Newton-matrix refreshes %s",
-             scenario.name, tr.steps, tr.solves, tr.refreshes)
+    tr.halvings, tr.worst_residual = stepper.halvings, stepper.worst_residual
+    log.info("%s: %d steps, %d Newton solves, Newton-matrix refreshes %s, "
+             "%d halvings, worst accepted residual %.3e", scenario.name,
+             tr.steps, tr.solves, tr.refreshes, tr.halvings,
+             tr.worst_residual)
     event_log.sort(key=lambda ev: ev.t)
     tr.final_state = state
     return tr
 
 
-def _update_sharing(dae: PowerSystemDae, sharing: list[int],
+def _update_sharing(dae: PowerSystemDae, open_gates: list[int],
                     state: SystemState, event_log: list[Event]) -> bool:
-    """Check the power-sharing gates of the devices with indices
-    ``sharing`` at an accepted step, logging each gate that closes.
+    """Check the open power-sharing gates of the devices with indices
+    ``open_gates`` at an accepted step, logging each gate that closes and
+    removing it from ``open_gates``.
 
     Returns whether any gate closed, which changes ``f`` and its Jacobian.
     """
     theta, v, idq = dae.split_y(state.y)
     closed = False
-    for k in sharing:
+    for k in list(open_gates):
         dev = dae.devices[k]
         b = dae.dev_bus[k]
         if dev.update_power_sharing(dae.device_state(state.x, k), v[b],
                                     theta[b], idq[2 * k], idq[2 * k + 1]):
             event_log.append(
                 Event(t=state.t, kind="gate_armed", device=dev.name))
+            open_gates.remove(k)
             closed = True
     return closed
 
@@ -433,32 +456,31 @@ def _update_sharing(dae: PowerSystemDae, sharing: list[int],
 class _TraceRecorder:
     """Fills a trace from accepted states, observed a block at a time.
 
-    Holds at most ``_OBSERVE_ROWS`` states.  The load is not copied with
-    them, so ``flush`` must run before the load changes.
+    Holds references to at most ``_OBSERVE_ROWS`` states' arrays, which
+    the stepper never mutates, and stacks them at ``flush``.  The load is
+    not kept with them, so ``flush`` must run before the load changes.
     """
 
     def __init__(self, tr: SimulationTrace, dae: PowerSystemDae):
         self.tr = tr
         self.dae = dae
-        self.x = np.empty((_OBSERVE_ROWS, dae.n_x))
-        self.y = np.empty((_OBSERVE_ROWS, dae.n_y))
+        self.xs, self.ys = [], []
         self.start = 0     # trace row of the first buffered state
-        self.rows = 0
 
     def add(self, state: SystemState) -> None:
-        i = self.rows
-        self.x[i] = state.x
-        self.y[i] = state.y
-        self.rows = i + 1
-        if self.rows == _OBSERVE_ROWS:
+        self.xs.append(state.x)
+        self.ys.append(state.y)
+        if len(self.xs) == _OBSERVE_ROWS:
             self.flush()
 
     def flush(self) -> None:
-        m = self.rows
+        m = len(self.xs)
         if m == 0:
             return
         dae, tr = self.dae, self.tr
-        x, y = self.x[:m], self.y[:m]
+        x, y = np.array(self.xs), np.array(self.ys)
+        self.xs.clear()
+        self.ys.clear()
         rows = slice(self.start, self.start + m)
         tr.freq_hz[rows] = dae.device_frequencies_hz(x)
         tr.p_dev[rows], tr.p_sys[rows] = dae.device_powers(x, y)
@@ -466,4 +488,3 @@ class _TraceRecorder:
         tr.v[rows] = y[:, dae.n_bus:2 * dae.n_bus]
         tr.balance_residual[rows] = dae.power_balance_residual(x, y)
         self.start += m
-        self.rows = 0

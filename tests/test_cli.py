@@ -232,6 +232,25 @@ class TestCommandLine:
         stats = json.loads((tmp_path / "3bus-caseA_stats.json").read_text())
         assert stats["source"] == "sg"
         assert stats["window_s"] == 0.1
+        solver = stats["solver"]
+        assert list(solver) == ["steps", "solves", "refreshes", "halvings",
+                                "worst_residual"]
+        assert solver["steps"] == 500 and solver["halvings"] == 0
+        assert solver["refreshes"]["stale"] >= 1
+        assert 0 < solver["worst_residual"] < 1e-9
+
+    @pytest.mark.parametrize("t_end", ["0.0004", "0.5004"])
+    def test_simulate_t_end_off_the_grid_is_input_error(self, tmp_path,
+                                                        capsys, t_end):
+        # 0.0004 s gives no 1 ms step; 0.5004 s used to stop at 0.5 s
+        rc = main(["simulate", "--scenario", "3bus-caseA",
+                   "--out", str(tmp_path), "--t-end", t_end])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "input" and err["type"] == "ScenarioError"
+        assert f"t_end={t_end}" in err["message"]
+        assert "dt=0.001" in err["message"]
+        assert not (tmp_path / "3bus-caseA_trace.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [
         *(pytest.param(f, v, id=f if v == "0" else f"{f}={v}")

@@ -54,3 +54,27 @@ def test_residuals_match_reference(name):
     assert_matches_reference(dae, state.x, state.y)
     for x, y in perturbed(state, dae, rng):
         assert_matches_reference(dae, x, y)
+
+
+@pytest.mark.parametrize("name", ["3bus-caseB", "9bus-caseC"])
+def test_g_follows_loads_on_unloaded_buses(name):
+    # g subtracts a load current only where the load is nonzero, read anew
+    # on every call: a bus that had no load must count once it has one
+    scen = load_scenario(name)
+    dae = scen.build_dae()
+    state = release_dynamics(
+        dae, solve_power_flow(scen.network, scen.dispatch_map()))
+    empty = [b.id for i, b in enumerate(dae.network.buses)
+             if dae.s_load[i] == 0]
+    assert empty
+    before = dae.g(state.x, state.y)
+    dae.apply_load_step(empty[0], 0.1, 0.02)
+    assert not np.array_equal(dae.g(state.x, state.y), before)
+    assert_matches_reference(dae, state.x, state.y)
+    i = dae.network.bus_index(empty[-1])
+    dae.p_load[i] = 0.3
+    assert dae.s_load[i] == 0.3
+    rng = np.random.default_rng(15)
+    assert_matches_reference(dae, state.x, state.y)
+    for x, y in perturbed(state, dae, rng, count=2):
+        assert_matches_reference(dae, x, y)

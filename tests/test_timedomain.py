@@ -8,7 +8,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from droope import timedomain
-from droope.devices import GfmStaticParams
+from droope.devices import GfmDevice, GfmStaticParams
 from droope.errors import InitializationError, ScenarioError, StepError
 from droope.metrics import compute_frequency_stats
 from droope.network import BusKind, solve_power_flow
@@ -748,6 +748,28 @@ class TestRunCase:
         with pytest.raises(ScenarioError):
             run_case(bad, t_end=0.1)
 
+    @pytest.mark.parametrize("t_end", [1.0004, 0.0004, 1e-12])
+    def test_t_end_off_the_grid_or_without_a_step_rejected(self, t_end):
+        # 1.0004 s used to stop at 1.0 s, 0.0004 s to fail with IndexError
+        with pytest.raises(ScenarioError, match=rf"t_end={t_end} .*dt=0.001"):
+            run_case(load_scenario("3bus-caseB"), t_end=t_end)
+
+    def test_sharing_gate_checked_only_while_open(self, monkeypatch):
+        # the gate of gfm3 closes at 1.55 s; after it no step checks it
+        calls = []
+        check = GfmDevice.update_power_sharing
+
+        def counted(dev, *args):
+            calls.append(dev.name)
+            return check(dev, *args)
+
+        monkeypatch.setattr(GfmDevice, "update_power_sharing", counted)
+        tr = run_case(load_scenario("3bus-sharing"), t_end=2.0)
+        gates = [(ev.t, ev.device) for ev in tr.events
+                 if ev.kind == "gate_armed"]
+        assert gates == [(1.55, "gfm3")]
+        assert calls == ["gfm3"] * 1550
+
     def test_nadir_insensitive_to_step_refinement(self):
         scen = load_scenario("3bus-caseB")
         nadirs = []
@@ -784,9 +806,11 @@ class TestRunCase:
         assert f" {len(newton_solves)} Newton solves" in counted[0]
         # the trace carries the counts the log line reads
         assert (tr.steps, tr.solves) == (len(tr.t) - 1, len(newton_solves))
-        assert counted[0].endswith(f": {tr.steps} steps, {tr.solves} Newton "
-                                   f"solves, Newton-matrix refreshes "
-                                   f"{tr.refreshes}")
+        assert counted[0].endswith(
+            f": {tr.steps} steps, {tr.solves} Newton solves, Newton-matrix "
+            f"refreshes {tr.refreshes}, {tr.halvings} halvings, worst "
+            f"accepted residual {tr.worst_residual:.3e}")
+        assert tr.halvings == 0 and 0 < tr.worst_residual < 1e-9
 
     # a start by Euler and the linear y extrapolation took 0.81 (3bus-caseB)
     # and 1.10 (3bus-sharing) solves per step, and 50 and 506 refreshes
